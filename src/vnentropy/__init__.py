@@ -55,7 +55,7 @@ from .krylov import (
     swap_last_pole_to_infinity,
     trace_to_csv,
 )
-from .solver import FactorCache, PoleSolver, analyze, cg_solve, factorize, solve
+from .solver import FactorCache, PoleSolver, cg_solve, factorize, solve
 from .sparse import (
     DensityMatrix,
     MatrixFormatError,

@@ -226,12 +226,15 @@ def cmd_entropy(args):
     if args.seed is not None:
         report["seed"] = args.seed
     _write_out(json.dumps(report, indent=2) + "\n", args.json)
-    print(
-        f"solver: backend={est.solver_backend} factors={est.factorizations} "
-        f"fill={est.fill_ratio if est.fill_ratio is not None else 'n/a'} "
-        f"solves={est.solve_count}",
-        file=sys.stderr,
-    )
+    if est.solve_count == 0:
+        print("solver: unused", file=sys.stderr)
+    else:
+        print(
+            f"solver: backend={est.solver_backend} factors={est.factorizations} "
+            f"fill={est.fill_ratio if est.fill_ratio is not None else 'n/a'} "
+            f"solves={est.solve_count}",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -5,12 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._kernels import (
     coloring_from_neighbor_pattern,
     greedy_distance_coloring_kernel,
     rcm_kernel,
-    spgemm_pattern,
     validate_distance_coloring,
 )
 from .sparse import SparseSymMatrix
@@ -84,7 +84,7 @@ def greedy_distance_coloring(
     Processes nodes in ``order`` (natural order by default) and assigns each
     the smallest color not used within distance d. Neighborhoods come from a
     depth-limited BFS, or from the pattern of (A+I)^d when
-    ``use_power_pattern`` is set (repeated squaring of the sparse pattern).
+    ``use_power_pattern`` is set (boolean sparse products).
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -101,34 +101,14 @@ def greedy_distance_coloring(
 
 
 def _distance_pattern(graph: SparseSymMatrix, d: int):
-    """CSR pattern of (A + I)^d via repeated squaring (distance <= d pairs)."""
-    n = graph.n
-    rows = np.repeat(np.arange(n), np.diff(graph.row_ptr))
-    rows = np.concatenate([rows, np.arange(n)])
-    cols = np.concatenate([graph.col_idx, np.arange(n)])
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    keep = np.ones(rows.size, dtype=bool)
-    keep[1:] = (np.diff(rows) != 0) | (np.diff(cols) != 0)
-    rows, cols = rows[keep], cols[keep]
-    bp = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(bp, rows + 1, 1)
-    np.cumsum(bp, out=bp)
-    bj = cols.astype(np.int64)
-    # exponentiation by squaring on the pattern
-    rp, rj = None, None
-    sq_p, sq_j = bp, bj
-    e = d
-    while e > 0:
-        if e & 1:
-            if rp is None:
-                rp, rj = sq_p, sq_j
-            else:
-                rp, rj = spgemm_pattern(rp, rj, sq_p, sq_j, n)
-        e >>= 1
-        if e:
-            sq_p, sq_j = spgemm_pattern(sq_p, sq_j, sq_p, sq_j, n)
-    return rp, rj
+    """Sorted CSR pattern of (A + I)^d (distance <= d pairs) from d - 1
+    boolean sparse products."""
+    step = graph.pattern() + sp.identity(graph.n, dtype=bool, format="csr")
+    reach = step
+    for _ in range(d - 1):
+        reach = reach @ step
+    reach.sort_indices()
+    return reach.indptr.astype(np.int64), reach.indices.astype(np.int64)
 
 
 def banded_coloring(n: int, beta: int, d: int) -> Coloring:

@@ -420,13 +420,11 @@ def _solver_stats(operator):
     solver = operator.solver
     if solver is None:
         return {"solver_backend": "direct", "solve_count": 0, "fill_ratio": None}
-    fill = None
-    if solver.cache.analysis is not None:
-        fill = round(solver.cache.fill_ratio, 3)
+    fill = solver.cache.fill_ratio
     return {
-        "solver_backend": solver._resolved or solver.requested_backend,
+        "solver_backend": solver.backend,
         "solve_count": solver.solve_count,
-        "fill_ratio": fill,
+        "fill_ratio": None if fill is None else round(fill, 3),
     }
 
 

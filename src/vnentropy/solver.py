@@ -1,123 +1,17 @@
 """Shifted SPD solves (xi*I - A)x = y for the rational Krylov engine:
-AMD-ordered sparse Cholesky with per-pole factor caching, and a
-Jacobi-preconditioned conjugate gradient fallback."""
+SuperLU factors of |xi| I + A cached per pole, and a Jacobi-preconditioned
+conjugate gradient fallback."""
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU, splu
 
-from ._kernels import chol_numeric, chol_solve_kernel, chol_symbolic
 from .sparse import SparseSymMatrix, matvec
-
-
-def amd_order(mat: SparseSymMatrix) -> np.ndarray:
-    """Fill-reducing permutation by quotient-graph minimum degree with
-    approximate (union-bound) external degrees. Runs once per matrix."""
-    n = mat.n
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for p in range(mat.row_ptr[i], mat.row_ptr[i + 1]):
-            j = int(mat.col_idx[p])
-            if j != i:
-                adj[i].add(j)
-    elem = [set() for _ in range(n)]
-    boundary = {}
-    degree = [len(adj[i]) for i in range(n)]
-    heap = [(degree[i], i) for i in range(n)]
-    heapq.heapify(heap)
-    alive = np.ones(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    pos = 0
-    while pos < n:
-        d, p = heapq.heappop(heap)
-        if not alive[p] or d != degree[p]:
-            continue
-        new_boundary = set(adj[p])
-        for e in elem[p]:
-            new_boundary |= boundary.pop(e)
-        new_boundary.discard(p)
-        absorbed = elem[p]
-        boundary[p] = new_boundary
-        for i in new_boundary:
-            adj[i] -= new_boundary
-            adj[i].discard(p)
-            elem[i] = (elem[i] - absorbed) | {p}
-            dd = len(adj[i])
-            for e in elem[i]:
-                dd += len(boundary[e]) - 1
-            degree[i] = min(dd, n - pos - 1)
-            heapq.heappush(heap, (degree[i], i))
-        alive[p] = False
-        adj[p] = elem[p] = set()
-        order[pos] = p
-        pos += 1
-    return order
-
-
-@dataclass
-class SymbolicAnalysis:
-    """AMD permutation plus the symbolic factor shared by all poles."""
-
-    perm: np.ndarray          # perm[k] = original index eliminated k-th
-    inv_perm: np.ndarray
-    ap_low: np.ndarray        # permuted strictly-lower CSR
-    aj_low: np.ndarray
-    ax_low: np.ndarray
-    diag: np.ndarray          # permuted diagonal of A
-    rp: np.ndarray            # row pattern of L (strictly lower)
-    rj: np.ndarray
-    lp: np.ndarray            # static column structure of L
-    li: np.ndarray
-    nnz_matrix: int
-
-    @property
-    def nnz_factor(self) -> int:
-        return int(self.lp[-1])
-
-    @property
-    def fill_ratio(self) -> float:
-        return self.nnz_factor / max(1, self.nnz_matrix)
-
-
-def analyze(mat: SparseSymMatrix) -> SymbolicAnalysis:
-    """AMD ordering plus symbolic Cholesky of the permuted pattern.
-
-    The pattern of xi*I - A is pole-independent, so one analysis serves
-    every factorization of the same matrix.
-    """
-    perm = amd_order(mat)
-    inv_perm = np.empty(mat.n, dtype=np.int64)
-    inv_perm[perm] = np.arange(mat.n)
-    rows_old = np.repeat(np.arange(mat.n), np.diff(mat.row_ptr))
-    ri, ci = inv_perm[rows_old], inv_perm[mat.col_idx]
-    diag = np.zeros(mat.n)
-    dmask = ri == ci
-    diag[ri[dmask]] = mat.values[dmask]
-    lmask = ri > ci
-    lr, lc, lv = ri[lmask], ci[lmask], mat.values[lmask]
-    order = np.lexsort((lc, lr))
-    lr, lc, lv = lr[order], lc[order], lv[order]
-    ap_low = np.zeros(mat.n + 1, dtype=np.int64)
-    np.add.at(ap_low, lr + 1, 1)
-    np.cumsum(ap_low, out=ap_low)
-    _, rp, rj, lp, li = chol_symbolic(mat.n, ap_low, lc.astype(np.int64))
-    return SymbolicAnalysis(
-        perm=perm,
-        inv_perm=inv_perm,
-        ap_low=ap_low,
-        aj_low=lc.astype(np.int64),
-        ax_low=lv,
-        diag=diag,
-        rp=rp,
-        rj=rj,
-        lp=lp,
-        li=li,
-        nnz_matrix=mat.nnz,
-    )
 
 
 class FactorizationError(RuntimeError):
@@ -125,21 +19,20 @@ class FactorizationError(RuntimeError):
 
 
 @dataclass
-class CholeskyFactor:
-    """Numeric factor of -(xi*I - A) = |xi| I + A, P C P^T = L L^T."""
+class PoleFactor:
+    """SuperLU factor of -(xi*I - A) = |xi| I + A, P C P^T = L U.
+
+    ``fill_ratio`` is nnz(L) / nnz(A); the symmetric ordering depends only
+    on the pattern, so it is the same for every pole of one matrix.
+    """
 
     xi: float
-    analysis: SymbolicAnalysis
-    lx: np.ndarray
+    lu: SuperLU
+    fill_ratio: float
 
     def solve_spd(self, y: np.ndarray) -> np.ndarray:
         """x with (|xi| I + A) x = y."""
-        sym = self.analysis
-        n = sym.lp.shape[0] - 1
-        z = chol_solve_kernel(n, sym.lp, sym.li, self.lx, np.ascontiguousarray(y[sym.perm]))
-        x = np.empty_like(z)
-        x[sym.perm] = z
-        return x
+        return self.lu.solve(y)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
         """x with (xi*I - A) x = y."""
@@ -148,28 +41,51 @@ class CholeskyFactor:
 
 @dataclass
 class FactorCache:
-    """Append-only pole -> factor map with a shared symbolic analysis."""
+    """Append-only pole -> factor map for one matrix."""
 
     matrix: SparseSymMatrix
-    analysis: SymbolicAnalysis | None = None
     factors: dict = field(default_factory=dict)
     factor_count: int = 0
-    solve_count: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock)
 
-    def get_analysis(self) -> SymbolicAnalysis:
-        with self._lock:
-            if self.analysis is None:
-                self.analysis = analyze(self.matrix)
-            return self.analysis
-
     @property
-    def fill_ratio(self) -> float:
-        return self.get_analysis().fill_ratio
+    def fill_ratio(self) -> float | None:
+        """Fill of the cached factors, None before the first one."""
+        for factor in self.factors.values():
+            return factor.fill_ratio
+        return None
 
 
-def factorize(mat: SparseSymMatrix, xi: float, cache: FactorCache) -> CholeskyFactor:
-    """Cholesky factor of |xi| I + A for a pole xi < 0, cached by pole.
+def _lu_spd(mat: SparseSymMatrix, tau: float) -> SuperLU:
+    """Unpivoted SuperLU factor of tau*I + A under a symmetric minimum-degree
+    order; raises FactorizationError unless the matrix is positive definite.
+
+    With perm_r == perm_c the factor is P C P^T = L U with U = D L^T, so by
+    Sylvester's law of inertia C is positive definite iff every U pivot is.
+    """
+    # full symmetric pattern: the CSR arrays of A are also its CSC arrays
+    a = sp.csc_matrix((mat.values, mat.col_idx, mat.row_ptr), shape=(mat.n, mat.n))
+    shifted = a + tau * sp.identity(mat.n, format="csc")
+    try:
+        lu = splu(
+            shifted,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # exactly singular
+        raise FactorizationError(str(exc)) from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise FactorizationError("SuperLU pivoted off the diagonal")
+    pivots = lu.U.diagonal()
+    bad = np.flatnonzero(pivots <= 0.0)
+    if bad.size:
+        raise FactorizationError(f"non-positive pivot at permuted index {bad[0]}")
+    return lu
+
+
+def factorize(mat: SparseSymMatrix, xi: float, cache: FactorCache) -> PoleFactor:
+    """SuperLU factor of |xi| I + A for a pole xi < 0, cached by pole.
 
     Insertion is serialized: the first caller factorizes, others wait on the
     cache lock; reads of existing factors are safe concurrently.
@@ -181,25 +97,16 @@ def factorize(mat: SparseSymMatrix, xi: float, cache: FactorCache) -> CholeskyFa
     with cache._lock:
         if xi in cache.factors:
             return cache.factors[xi]
-        if cache.analysis is None:
-            cache.analysis = analyze(cache.matrix)
-        sym = cache.analysis
-        lx = np.empty(sym.nnz_factor, dtype=np.float64)
-        bad = chol_numeric(
-            mat.n, sym.ap_low, sym.aj_low, sym.ax_low, sym.diag, -xi,
-            sym.rp, sym.rj, sym.lp, sym.li, lx,
-        )
-        if bad >= 0:
-            raise FactorizationError(f"non-positive pivot at permuted index {bad}")
-        factor = CholeskyFactor(xi=xi, analysis=sym, lx=lx)
+        lu = _lu_spd(mat, -xi)
+        factor = PoleFactor(xi=xi, lu=lu, fill_ratio=lu.L.nnz / max(1, mat.nnz))
         cache.factors[xi] = factor
         cache.factor_count = len(cache.factors)
     return factor
 
 
-def solve(factor: CholeskyFactor, y: np.ndarray) -> np.ndarray:
-    """Two triangular solves (plus permutations): (xi*I - A) x = y."""
-    if y.shape[0] != factor.analysis.diag.shape[0]:
+def solve(factor: PoleFactor, y: np.ndarray) -> np.ndarray:
+    """(xi*I - A) x = y from a cached factor."""
+    if y.shape[0] != factor.lu.shape[0]:
         raise ValueError("dimension mismatch")
     return factor.solve(y)
 
@@ -244,8 +151,9 @@ def cg_solve(
 class PoleSolver:
     """Backend-dispatching shifted solver used by the Krylov engine.
 
-    ``backend`` is one of direct/cg/auto; auto picks CG when the symbolic
-    analysis predicts a fill-in ratio above ``fill_threshold``.
+    ``backend`` is one of direct/cg/auto; auto factors the first pole and
+    picks CG for all solves when that factor's fill ratio exceeds
+    ``fill_threshold``. The first factor stays cached either way.
     """
 
     def __init__(
@@ -268,17 +176,18 @@ class PoleSolver:
 
     @property
     def backend(self) -> str:
-        if self._resolved is None:
-            ratio = self.cache.fill_ratio
-            self._resolved = "cg" if ratio > self.fill_threshold else "direct"
-        return self._resolved
+        """The resolved backend; "auto" until the first solve resolves it."""
+        return self._resolved or self.requested_backend
 
     def solve_spd_shift(self, tau: float, y: np.ndarray) -> np.ndarray:
         """x with (tau I + A) x = y, tau > 0."""
         self.solve_count += 1
-        if self.backend == "direct":
+        if self._resolved != "cg":
             factor = factorize(self.matrix, -tau, self.cache)
-            return factor.solve_spd(y)
+            if self._resolved is None:
+                self._resolved = "cg" if factor.fill_ratio > self.fill_threshold else "direct"
+            if self._resolved == "direct":
+                return factor.solve_spd(y)
         return -cg_solve(self.matrix, -tau, y, tol_rel=self.cg_tol)
 
     @property

@@ -7,8 +7,10 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from ._kernels import connected_components, matvec_kernel
+from ._kernels import matvec_kernel
 
 
 class MatrixFormatError(ValueError):
@@ -53,6 +55,11 @@ class SparseSymMatrix:
         dense = np.zeros((self.n, self.n))
         dense[self._row_indices(), self.col_idx] = self.values
         return dense
+
+    def pattern(self) -> sp.csr_matrix:
+        """Boolean scipy CSR matrix of the stored pattern."""
+        ones = np.ones(self.nnz, dtype=bool)
+        return sp.csr_matrix((ones, self.col_idx, self.row_ptr), shape=(self.n, self.n))
 
     def degrees(self) -> np.ndarray:
         """Node degrees of the associated graph (off-diagonal entry counts)."""
@@ -285,7 +292,7 @@ def largest_component(mat: SparseSymMatrix):
     """
     if mat.n == 0:
         return mat, np.empty(0, dtype=np.int64)
-    labels, ncomp = connected_components(mat.row_ptr, mat.col_idx)
+    ncomp, labels = connected_components(mat.pattern(), directed=False)
     sizes = np.bincount(labels, minlength=ncomp)
     target = int(np.argmax(sizes))
     keep = labels == target
@@ -324,21 +331,25 @@ def dense_sym_eig(a: np.ndarray):
     Contract: A = U diag(w) U^T with ||A U - U diag(w)|| <= 1e-12 n ||A||
     and ||U^T U - I|| <= 1e-12 n (LAPACK symmetric eigensolver).
     """
+    return np.linalg.eigh(_symmetrized(a))
+
+
+def _symmetrized(a) -> np.ndarray:
+    """(A + A^T) / 2 after checking that A is square and symmetric."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     scale = np.abs(a).max() if a.size else 0.0
     if scale > 0 and np.abs(a - a.T).max() > 1e-12 * scale * a.shape[0]:
         raise ValueError("matrix is not symmetric")
-    w, u = np.linalg.eigh(0.5 * (a + a.T))
-    return w, u
+    return 0.5 * (a + a.T)
 
 
 DENSE_ORACLE_CAP = 5000
 
 
 def dense_entropy_oracle(mat, cap: int = DENSE_ORACLE_CAP) -> float:
-    """-sum(lambda_i log lambda_i) by full eigendecomposition, 0 log 0 = 0.
+    """-sum(lambda_i log lambda_i) from all eigenvalues, 0 log 0 = 0.
 
     Accepts a SparseSymMatrix or a dense symmetric array; eigenvalues in
     [-1e-12 ||A||, 0) are clamped to zero, anything lower is an error.
@@ -346,8 +357,7 @@ def dense_entropy_oracle(mat, cap: int = DENSE_ORACLE_CAP) -> float:
     dense = mat.todense() if isinstance(mat, SparseSymMatrix) else np.asarray(mat)
     if dense.shape[0] > cap:
         raise ValueError(f"n={dense.shape[0]} exceeds dense oracle cap {cap}")
-    w, _ = dense_sym_eig(dense)
-    return entropy_from_eigenvalues(w)
+    return entropy_from_eigenvalues(np.linalg.eigvalsh(_symmetrized(dense)))
 
 
 def entropy_from_eigenvalues(w: np.ndarray) -> float:

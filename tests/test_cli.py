@@ -86,6 +86,31 @@ class TestEntropyCommand:
         jsonschema.validate(json.loads(target.read_text()), REPORT_SCHEMA)
 
 
+class TestSolverLine:
+    def test_unused_without_shifted_solves(self, capsys):
+        code, out, err = run_cli(
+            ["entropy", "--gen", "grid2d:12", "--method", "probing", "--eps", "1e-3"],
+            capsys,
+        )
+        assert code == 0 and json.loads(out)["rat_iters"] == 0
+        assert "solver: unused" in err.splitlines()
+
+    def test_fill_from_factor_after_solves(self, capsys):
+        code, out, err = run_cli(
+            ["entropy", "--gen", "grid2d:30", "--method", "probing", "--eps", "1e-6",
+             "--stop", "bound", "--d", "3"],
+            capsys,
+        )
+        report = json.loads(out)
+        assert code == 0 and report["rat_iters"] > 0
+        line = re.search(r"^solver: backend=(\w+) factors=(\d+) fill=([0-9.]+) solves=(\d+)$", err, re.M)
+        assert line is not None, err
+        assert line.group(1) == "direct"
+        assert int(line.group(2)) == report["factorizations"]
+        assert float(line.group(3)) >= 1.0
+        assert int(line.group(4)) == report["rat_iters"]
+
+
 class TestExitCodes:
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"

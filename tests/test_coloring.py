@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vnentropy.coloring import (
+    _distance_pattern,
     bandwidth,
     banded_coloring,
     degree_descending_order,
@@ -15,7 +16,7 @@ from vnentropy.coloring import (
 from vnentropy.generators import grid2d_adjacency
 from vnentropy.sparse import from_coo
 
-from conftest import complete_graph, path_graph, random_connected_graph
+from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph
 
 
 def star_graph(n, center):
@@ -95,6 +96,24 @@ class TestGreedyColoring:
             ok, _ = validate_coloring(mat, via_pow, d)
             assert ok
             assert via_pow.num_colors == via_bfs.num_colors
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path_graph(30), cycle_graph(31), complete_graph(7), grid2d_adjacency(9)],
+        ids=["path", "cycle", "complete", "grid"],
+    )
+    def test_distance_pattern_is_power_of_a_plus_i(self, graph, rng):
+        step = np.eye(graph.n, dtype=np.int64) + (graph.todense() != 0)
+        order = rng.permutation(graph.n)
+        for d in (1, 2, 3, 5):
+            rp, cj = _distance_pattern(graph, d)
+            # row-major nonzeros, so columns come sorted within each row
+            rows, cols = np.nonzero(np.linalg.matrix_power(step, d))
+            assert np.array_equal(np.repeat(np.arange(graph.n), np.diff(rp)), rows)
+            assert np.array_equal(cj, cols)
+            via_pow = greedy_distance_coloring(graph, d, order, use_power_pattern=True)
+            via_bfs = greedy_distance_coloring(graph, d, order)
+            assert np.array_equal(via_pow.color, via_bfs.color)
 
     def test_greedy_is_canonical(self, rng):
         # each node gets the minimum color absent among earlier nodes within d

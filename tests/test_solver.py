@@ -4,8 +4,8 @@ import pytest
 from vnentropy.generators import grid2d_adjacency
 from vnentropy.solver import (
     FactorCache,
+    FactorizationError,
     PoleSolver,
-    analyze,
     cg_solve,
     factorize,
     solve,
@@ -19,19 +19,23 @@ def shifted_dense(mat, xi):
     return xi * np.eye(mat.n) - mat.todense()
 
 
+def direct_fill(mat):
+    """nnz(L) / nnz(A) of the direct factor, read through the public solver."""
+    solver = PoleSolver(mat, backend="direct")
+    solver.solve_spd_shift(1.0, np.ones(mat.n))
+    return solver.cache.fill_ratio
+
+
 class TestAnalyze:
+    """Fill-in of the direct factor under its symmetric minimum-degree order."""
+
     def test_tridiagonal_no_fill(self):
         lap = build_laplacian(path_graph(50))
-        sym = analyze(lap)
         # banded matrix: factor nnz equals lower-triangle nnz of the matrix
-        assert sym.fill_ratio == pytest.approx(
-            (lap.nnz + lap.n) / 2 / lap.nnz, rel=0.05
-        )
+        assert direct_fill(lap) == pytest.approx((lap.nnz + lap.n) / 2 / lap.nnz, rel=0.05)
 
     def test_grid_fill_moderate(self):
-        lap = build_laplacian(grid2d_adjacency(32))
-        sym = analyze(lap)
-        assert sym.fill_ratio < 20
+        assert direct_fill(build_laplacian(grid2d_adjacency(32))) < 20
 
     def test_road_like_fill_small(self, rng):
         # sparse near-planar graph: tree plus a few local shortcuts
@@ -42,8 +46,7 @@ class TestAnalyze:
             rows += [i, j]
             cols += [j, i]
         mat = from_coo(n, rows, cols, np.ones(len(rows)))
-        sym = analyze(build_laplacian(mat))
-        assert sym.fill_ratio < 3.0
+        assert direct_fill(build_laplacian(mat)) < 3.0
 
 
 class TestFactorize:
@@ -51,10 +54,9 @@ class TestFactorize:
         zero = from_coo(4, [], [], [])
         cache = FactorCache(matrix=zero)
         factor = factorize(zero, -2.0, cache)
-        # |xi| I + A = 2 I, so the factor is sqrt(2) I
-        assert np.allclose(factor.lx, np.sqrt(2.0))
+        # xi I - A = -2 I
         y = np.array([2.0, -4.0, 0.0, 6.0])
-        assert np.allclose(solve(factor, y), y / -2.0)
+        assert np.array_equal(solve(factor, y), y / -2.0)
 
     def test_cache_hit_no_refactorization(self, rng):
         lap = build_laplacian(random_connected_graph(50, 60, rng))
@@ -94,18 +96,12 @@ class TestFactorize:
             factorize(lap, 1.0, FactorCache(matrix=lap))
 
     def test_indefinite_shift_detected(self):
-        # force tau < 0 through the kernel interface: A - 2I is not SPD
-        lap = build_laplacian(path_graph(6))
-        cache = FactorCache(matrix=lap)
-        sym = cache.get_analysis()
-        from vnentropy._kernels import chol_numeric
-
-        lx = np.empty(sym.nnz_factor)
-        bad = chol_numeric(
-            lap.n, sym.ap_low, sym.aj_low, sym.ax_low, sym.diag, -10.0,
-            sym.rp, sym.rj, sym.lp, sym.li, lx,
-        )
-        assert bad >= 0
+        # A = -L has eigenvalues down to about -3.7 < xi, so |xi| I + A is indefinite
+        neg = build_laplacian(path_graph(6)).scaled(-1.0)
+        cache = FactorCache(matrix=neg)
+        with pytest.raises(FactorizationError):
+            factorize(neg, -1.0, cache)
+        assert cache.factor_count == 0
 
 
 class TestSolve:
@@ -176,5 +172,10 @@ class TestPoleSolver:
     def test_auto_threshold_forces_cg(self, rng):
         lap = build_laplacian(random_connected_graph(40, 80, rng))
         solver = PoleSolver(lap, backend="auto", fill_threshold=0.01)
-        solver.solve_spd_shift(2.0, rng.standard_normal(40))
+        assert solver.backend == "auto"
+        y = rng.standard_normal(40)
+        x = solver.solve_spd_shift(2.0, y)
         assert solver.backend == "cg"
+        assert np.linalg.norm(matvec(lap, x) + 2.0 * x - y) <= 1e-8 * np.linalg.norm(y)
+        # the factor that resolved the backend stays cached and counted
+        assert solver.factorization_count == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from vnentropy.sparse import (
     MatrixFormatError,
@@ -153,6 +154,42 @@ class TestLargestComponent:
         sub, mapping = largest_component(mat)
         assert sub.n == 2
         assert mapping[0] == 0 and mapping[2] == -1
+
+    def test_csgraph_labels_match_bfs_numbering(self, rng):
+        # components numbered by their smallest node; the first largest wins
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            m = int(rng.integers(0, n + 1))
+            i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+            edges = {(int(a), int(b)) for a, b in zip(np.minimum(i, j), np.maximum(i, j)) if a != b}
+            rows = [a for a, _ in edges] + [b for _, b in edges]
+            cols = [b for _, b in edges] + [a for a, _ in edges]
+            mat = from_coo(n, rows, cols, np.ones(len(rows)))
+            labels = bfs_component_labels(mat)
+            _, got = connected_components(mat.pattern(), directed=False)
+            assert np.array_equal(got, labels)
+            keep = labels == np.argmax(np.bincount(labels))
+            _, mapping = largest_component(mat)
+            assert np.array_equal(mapping >= 0, keep)
+
+
+def bfs_component_labels(mat):
+    """Component labels in order of discovery from node 0."""
+    labels = np.full(mat.n, -1, dtype=np.int64)
+    ncomp = 0
+    for s in range(mat.n):
+        if labels[s] >= 0:
+            continue
+        labels[s] = ncomp
+        queue = [s]
+        while queue:
+            u = queue.pop()
+            for v in mat.col_idx[mat.row_ptr[u] : mat.row_ptr[u + 1]]:
+                if labels[v] < 0:
+                    labels[v] = ncomp
+                    queue.append(v)
+        ncomp += 1
+    return labels
 
 
 class TestNormalizeAndRescale:
