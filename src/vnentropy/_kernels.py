@@ -1,12 +1,12 @@
 """Hot loops shared by the sparse and coloring modules: CSR matvec,
-depth-limited BFS coloring and validation, and RCM ordering.
+depth-limited BFS coloring validation, and RCM ordering.
 
 Every kernel here is written in plain array style so that it runs both as a
 numba ``@njit`` function and as ordinary Python. numba is an optional extra
 (``pip install vnentropy[numba]``); without it, or with the environment
 variable ``VNENTROPY_DISABLE_NUMBA=1`` set before import, the plain Python
-path runs. Factorizations, connected components and sparse-pattern products
-use scipy instead.
+path runs. Factorizations, connected components and the greedy coloring's
+distance-d neighbourhoods use scipy instead.
 """
 
 import os
@@ -66,66 +66,6 @@ if NUMBA_ENABLED:
     matvec_kernel = csr_matvec
 else:
     matvec_kernel = csr_matvec_numpy
-
-
-@njit(cache=True)
-def greedy_distance_coloring_kernel(row_ptr, col_idx, order, d):
-    """Greedy distance-d coloring; W_i found by a depth-limited BFS from i.
-
-    Nodes are processed in ``order``; each gets the smallest positive color
-    not present among already-colored nodes within graph distance d.
-    """
-    n = row_ptr.shape[0] - 1
-    color = np.zeros(n, dtype=np.int64)
-    visited = np.full(n, -1, dtype=np.int64)
-    forbidden = np.full(n + 2, -1, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    for idx in range(n):
-        i = order[idx]
-        visited[i] = i
-        queue[0] = i
-        f_start = 0
-        f_end = 1
-        for _depth in range(d):
-            nxt = f_end
-            for qi in range(f_start, f_end):
-                u = queue[qi]
-                for p in range(row_ptr[u], row_ptr[u + 1]):
-                    v = col_idx[p]
-                    if visited[v] != i:
-                        visited[v] = i
-                        queue[nxt] = v
-                        nxt += 1
-                        if color[v] > 0:
-                            forbidden[color[v]] = i
-            f_start = f_end
-            f_end = nxt
-            if f_start == f_end:
-                break
-        c = 1
-        while forbidden[c] == i:
-            c += 1
-        color[i] = c
-    return color
-
-
-@njit(cache=True)
-def coloring_from_neighbor_pattern(row_ptr, col_idx, order):
-    """Greedy coloring when the distance-d neighborhood pattern is explicit."""
-    n = row_ptr.shape[0] - 1
-    color = np.zeros(n, dtype=np.int64)
-    forbidden = np.full(n + 2, -1, dtype=np.int64)
-    for idx in range(n):
-        i = order[idx]
-        for p in range(row_ptr[i], row_ptr[i + 1]):
-            c = color[col_idx[p]]
-            if c > 0:
-                forbidden[c] = i
-        c = 1
-        while forbidden[c] == i:
-            c += 1
-        color[i] = c
-    return color
 
 
 @njit(cache=True)

@@ -7,13 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._kernels import (
-    coloring_from_neighbor_pattern,
-    greedy_distance_coloring_kernel,
-    rcm_kernel,
-    validate_distance_coloring,
-)
+from ._kernels import rcm_kernel, validate_distance_coloring
 from .sparse import SparseSymMatrix
+
+COLOR_BLOCK = 256  # rows of the (A + I)^d pattern held at once
 
 
 @dataclass(frozen=True)
@@ -73,18 +70,13 @@ def bandwidth(graph: SparseSymMatrix, order=None) -> int:
     return int(np.abs(rows - cols).max())
 
 
-def greedy_distance_coloring(
-    graph: SparseSymMatrix,
-    d: int,
-    order=None,
-    use_power_pattern: bool = False,
-) -> Coloring:
+def greedy_distance_coloring(graph: SparseSymMatrix, d: int, order=None) -> Coloring:
     """Greedy distance-d coloring of the graph of A.
 
     Processes nodes in ``order`` (natural order by default) and assigns each
-    the smallest color not used within distance d. Neighborhoods come from a
-    depth-limited BFS, or from the pattern of (A+I)^d when
-    ``use_power_pattern`` is set (boolean sparse products).
+    the smallest color not used within distance d. Neighborhoods are the
+    rows of (A + I)^d, built from boolean sparse products for COLOR_BLOCK
+    nodes at a time in processing order.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -92,23 +84,34 @@ def greedy_distance_coloring(
         order = np.arange(graph.n, dtype=np.int64)
     else:
         order = np.asarray(order, dtype=np.int64)
-    if use_power_pattern:
-        rp, cj = _distance_pattern(graph, d)
-        color = coloring_from_neighbor_pattern(rp, cj, order)
-    else:
-        color = greedy_distance_coloring_kernel(graph.row_ptr, graph.col_idx, order, d)
+    step = _plus_identity(graph)
+    color = np.zeros(graph.n, dtype=np.int64)
+    num = 0
+    for start in range(0, order.shape[0], COLOR_BLOCK):
+        rows = order[start : start + COLOR_BLOCK]
+        reach = _distance_pattern(step, rows, d)
+        ptr, nbrs = reach.indptr, reach.indices
+        for k, i in enumerate(rows):
+            used = np.zeros(num + 2, dtype=bool)
+            used[color[nbrs[ptr[k] : ptr[k + 1]]]] = True
+            used[0] = True
+            c = int(used.argmin())
+            color[i] = c
+            num = max(num, c)
     return _make_coloring(d, color)
 
 
-def _distance_pattern(graph: SparseSymMatrix, d: int):
-    """Sorted CSR pattern of (A + I)^d (distance <= d pairs) from d - 1
-    boolean sparse products."""
-    step = graph.pattern() + sp.identity(graph.n, dtype=bool, format="csr")
-    reach = step
+def _plus_identity(graph: SparseSymMatrix) -> sp.csr_matrix:
+    return graph.pattern() + sp.identity(graph.n, dtype=bool, format="csr")
+
+
+def _distance_pattern(step: sp.csr_matrix, rows, d: int) -> sp.csr_matrix:
+    """Rows ``rows`` of the pattern of step^d, step = A + I (the nodes within
+    distance d of each), from d - 1 boolean sparse products."""
+    reach = step[rows]
     for _ in range(d - 1):
         reach = reach @ step
-    reach.sort_indices()
-    return reach.indptr.astype(np.int64), reach.indices.astype(np.int64)
+    return reach
 
 
 def banded_coloring(n: int, beta: int, d: int) -> Coloring:

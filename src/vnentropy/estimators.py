@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr as scipy_qr
-from scipy.stats import chi2, norm
+from scipy.special import gammaincinv, ndtri
 
 from .bounds import select_d_apriori
 from .coloring import (
@@ -516,8 +516,9 @@ def _required_hutch_samples(samples, eps_hat, delta, inflation_cap=20.0):
     var = float(np.var(samples, ddof=1))
     if var == 0.0:
         return MIN_HUTCH_SAMPLES
-    z = norm.ppf(1.0 - delta / 4.0)
-    infl = min(inflation_cap, (n - 1) / max(chi2.ppf(delta / 4.0, n - 1), 1e-12))
+    z = ndtri(1.0 - delta / 4.0)
+    chi2_q = 2.0 * gammaincinv((n - 1) / 2.0, delta / 4.0)
+    infl = min(inflation_cap, (n - 1) / max(chi2_q, 1e-12))
     return int(np.ceil(z * z * var * infl / eps_hat**2))
 
 
@@ -539,7 +540,7 @@ def adaptive_hutchpp(
     if eps_hat <= 0 or not 0 < delta < 1:
         raise ValueError("need eps_hat > 0 and delta in (0, 1)")
     n = provider.n
-    z = norm.ppf(1.0 - delta / 4.0)
+    z = ndtri(1.0 - delta / 4.0)
     q = np.zeros((n, 0))
     captured: list = []
     t_low = 0.0

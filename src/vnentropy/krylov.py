@@ -8,6 +8,7 @@ pencil (default), or with an auxiliary orthonormalized A v_seed direction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,6 +171,7 @@ class RationalArnoldiDecomposition:
         self.aux_coeffs = None
         self.aux_seed = -1
         self.aux_norm0 = 0.0
+        self._spectrum = None
         if mode == "swap":
             self._extend(INF)
         else:
@@ -212,6 +214,7 @@ class RationalArnoldiDecomposition:
         if self.exhausted:
             raise RuntimeError("decomposition is exhausted (invariant subspace)")
         self._grow()
+        self._spectrum = None
         m = self.nbasis
         v = self.V[:, m - 1]
         av = self.op.matvec(v)
@@ -325,6 +328,7 @@ class RationalArnoldiDecomposition:
         K[r1, c0] = 0.0
         H[r1, c0] = 0.0
         self.poles[-1], self.poles[-2] = self.poles[-2], self.poles[-1]
+        self._spectrum = None
 
     # -- projections -------------------------------------------------------
 
@@ -356,8 +360,10 @@ class RationalArnoldiDecomposition:
         """Eigen-data of the symmetrized projection: (theta, alpha, beta, m).
 
         alpha = h_{m+1}^T K_m^{-1} U, beta = U^T e_1 in the notation of the
-        error kernel g_m.
+        error kernel g_m. Computed once per iteration (read-only arrays).
         """
+        if self._spectrum is not None:
+            return self._spectrum
         a_m, last, m = self.projected()
         theta, u = np.linalg.eigh(0.5 * (a_m + a_m.T))
         if self.mode == "swap" or self.exhausted:
@@ -371,7 +377,10 @@ class RationalArnoldiDecomposition:
             kt[self.aux_seed, j - 1] = 1.0
             alpha = np.linalg.solve(kt.T, last) @ u
         beta = u[0, :].copy()
-        return theta, alpha, beta, m
+        for arr in (theta, alpha, beta):
+            arr.flags.writeable = False
+        self._spectrum = (theta, alpha, beta, m)
+        return self._spectrum
 
 
 def arnoldi_extend(decomp: RationalArnoldiDecomposition, next_pole) -> RationalArnoldiDecomposition:
@@ -420,44 +429,92 @@ def _clamp_ritz(theta):
     return np.where((theta < 0) & (theta >= -tol), 0.0, theta)
 
 
-def _bound_mesh(interval: SpectralInterval, theta, grid: int):
-    a, b = interval.a, interval.b
+@functools.lru_cache(maxsize=8)
+def _base_mesh(a: float, b: float, grid: int, fun: FunctionTriple):
+    """Read-only geometric mesh of [a, b] (0 plus a geometric tail when
+    a = 0) and f on it, built once per (interval, grid, function)."""
     if a > 0:
         mesh = np.geomspace(a, b, grid)
     else:
         lo = max(b * 1e-16, np.finfo(float).tiny)
         mesh = np.concatenate([[0.0], np.geomspace(lo, b, grid - 1)])
+    fz = np.asarray(fun.f(mesh), dtype=np.float64)
+    mesh.flags.writeable = False
+    fz.flags.writeable = False
+    return mesh, fz
+
+
+def _bound_mesh(interval: SpectralInterval, theta, grid: int, fun: FunctionTriple):
+    """(z, f(z)): the cached base mesh plus the Ritz values inside [a, b].
+
+    Only min/max over the mesh are taken, so order and duplicates are moot.
+    """
+    a, b = interval.a, interval.b
+    mesh, fz = _base_mesh(a, b, grid, fun)
     inside = theta[(theta >= a) & (theta <= b)]
-    return np.unique(np.concatenate([mesh, inside]))
+    f_inside = np.asarray(fun.f(inside), dtype=np.float64)
+    return np.concatenate([mesh, inside]), np.concatenate([fz, f_inside])
 
 
-def gm_kernel(z, theta, alpha, beta, fun: FunctionTriple, b_scale: float, gammas=None):
-    """Evaluate g_m on the points z (second-order quadratic-form kernel)."""
+def _divided_differences(z, fz, theta, fth, b_scale: float):
+    """(m, N) arrays dz = z - theta_j (1 where near) and the divided
+    differences (f(z) - f(theta_j)) / dz, plus the mask of points within
+    1e-8 b of a Ritz value, where the caller substitutes the limit."""
+    dz = np.subtract(z[None, :], theta[:, None])
+    near = np.abs(dz) <= 1e-8 * max(b_scale, 1e-300)
+    if not near.any():
+        near = None
+    else:
+        dz[near] = 1.0
+    ratio = np.subtract(fz[None, :], fth[:, None])
+    ratio /= dz
+    return dz, ratio, near
+
+
+def _pairwise_sum(t):
+    """Column sums of the (m, N) array t, added in the order numpy's
+    pairwise summation adds a contiguous row of m (eight interleaved partial
+    sums from m = 8, halves above 128), so the sums match an (N, m) row sum
+    bitwise while each step is one vector operation over N."""
+    m = t.shape[0]
+    if m < 8:
+        return t.sum(axis=0)
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        return _pairwise_sum(t[:half]) + _pairwise_sum(t[half:])
+    body = m - m % 8
+    r = t[:8].copy()
+    for i in range(8, body, 8):
+        r += t[i : i + 8]
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(body, m):
+        res += t[i]
+    return res
+
+
+def gm_kernel(z, fz, theta, alpha, beta, fun: FunctionTriple, b_scale: float, gammas=None):
+    """Evaluate g_m on the points z, given fz = f(z) (second-order
+    quadratic-form kernel)."""
     theta = np.maximum(theta, np.finfo(float).tiny)
-    z = np.asarray(z, dtype=np.float64)
-    fz = np.asarray(fun.f(z), dtype=np.float64)
     fth = np.asarray(fun.f(theta), dtype=np.float64)
     dfth = np.asarray(fun.df(theta), dtype=np.float64)
     d2fth = np.asarray(fun.d2f(theta), dtype=np.float64)
+    ab = alpha * beta
     if gammas is None:
-        ab = alpha * beta
         with np.errstate(divide="ignore", invalid="ignore"):
             diff = theta[:, None] - theta[None, :]
             inv = np.where(np.eye(theta.size, dtype=bool), 0.0, 1.0 / diff)
         gammas = (ab[None, :] * inv).sum(axis=1)
-    dz = z[:, None] - theta[None, :]
-    near = np.abs(dz) <= 1e-8 * max(b_scale, 1e-300)
-    dz_safe = np.where(near, 1.0, dz)
-    ratio1 = (fz[:, None] - fth[None, :]) / dz_safe
-    term = (
-        (alpha * beta)[None, :] ** 2 * ((ratio1 - dfth[None, :]) / dz_safe)
-        + 2.0 * (alpha * beta * gammas)[None, :] * ratio1
-    )
-    limit = (
-        0.5 * (alpha * beta) ** 2 * d2fth + 2.0 * alpha * beta * gammas * dfth
-    )
-    term = np.where(near, limit[None, :], term)
-    return term.sum(axis=1)
+    dz, ratio1, near = _divided_differences(z, fz, theta, fth, b_scale)
+    term = np.subtract(ratio1, dfth[:, None])
+    term /= dz
+    term *= (ab**2)[:, None]
+    ratio1 *= (2.0 * (ab * gammas))[:, None]
+    term += ratio1
+    if near is not None:
+        limit = 0.5 * ab**2 * d2fth + 2.0 * alpha * beta * gammas * dfth
+        np.copyto(term, limit[:, None], where=near)
+    return _pairwise_sum(term)
 
 
 def aposteriori_bounds(
@@ -478,8 +535,8 @@ def aposteriori_bounds(
         gammas = np.zeros_like(theta)
     else:
         gammas = None
-    mesh = _bound_mesh(interval, theta, grid)
-    g = gm_kernel(mesh, theta, alpha, beta, fun, interval.b, gammas=gammas)
+    mesh, fz = _bound_mesh(interval, theta, grid, fun)
+    g = gm_kernel(mesh, fz, theta, alpha, beta, fun, interval.b, gammas=gammas)
     absg = np.abs(g)
     lower = 0.0 if degraded else float(decomp.b_norm**2 * absg.min())
     upper = float(decomp.b_norm**2 * absg.max())
@@ -496,16 +553,14 @@ def funvec_aposteriori(
     h_m(z) = sum_j alpha_j beta_j (f(z) - f(theta_j)) / (z - theta_j)."""
     theta, alpha, beta, _ = decomp.spectrum()
     theta_safe = np.maximum(theta, np.finfo(float).tiny)
-    mesh = _bound_mesh(interval, theta, grid)
-    fz = np.asarray(fun.f(mesh), dtype=np.float64)
+    mesh, fz = _bound_mesh(interval, theta, grid, fun)
     fth = np.asarray(fun.f(theta_safe), dtype=np.float64)
-    dfth = np.asarray(fun.df(theta_safe), dtype=np.float64)
-    dz = mesh[:, None] - theta_safe[None, :]
-    near = np.abs(dz) <= 1e-8 * max(interval.b, 1e-300)
-    dz_safe = np.where(near, 1.0, dz)
-    ratio = (fz[:, None] - fth[None, :]) / dz_safe
-    ratio = np.where(near, dfth[None, :], ratio)
-    h = (ratio * (alpha * beta)[None, :]).sum(axis=1)
+    _, ratio, near = _divided_differences(mesh, fz, theta_safe, fth, interval.b)
+    if near is not None:
+        dfth = np.asarray(fun.df(theta_safe), dtype=np.float64)
+        np.copyto(ratio, dfth[:, None], where=near)
+    ratio *= (alpha * beta)[:, None]
+    h = _pairwise_sum(ratio)
     absh = np.abs(h)
     return float(decomp.b_norm * absh.min()), float(decomp.b_norm * absh.max())
 

@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import vnentropy
 from vnentropy import cli
 from vnentropy.cli import REPORT_SCHEMA, main
 from vnentropy.sparse import dense_entropy_oracle
@@ -304,3 +308,16 @@ class TestThreads:
         out2 = json.loads(capsys.readouterr().out)
         assert code1 == code2 == 0
         assert out1["value"] == out2["value"]
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats alone took about 0.9 s of every CLI start
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(vnentropy.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, vnentropy.cli; print('scipy.stats' in sys.modules)"
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "False"

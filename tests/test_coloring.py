@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from vnentropy import coloring
 from vnentropy.coloring import (
     _distance_pattern,
+    _plus_identity,
     bandwidth,
     banded_coloring,
     degree_descending_order,
@@ -88,32 +90,32 @@ class TestGreedyColoring:
                 assert ok, witness
 
     def test_power_pattern_route_matches_bfs(self, rng):
-        mat = random_connected_graph(50, 70, rng)
-        order = degree_descending_order(mat)
-        for d in (1, 2, 3, 4):
-            via_bfs = greedy_distance_coloring(mat, d, order)
-            via_pow = greedy_distance_coloring(mat, d, order, use_power_pattern=True)
-            ok, _ = validate_coloring(mat, via_pow, d)
-            assert ok
-            assert via_pow.num_colors == via_bfs.num_colors
+        for _ in range(25):
+            mat = random_connected_graph(50, 70, rng)
+            order = degree_descending_order(mat)
+            for d in range(1, 6):
+                col = greedy_distance_coloring(mat, d, order)
+                assert np.array_equal(col.color, _bfs_greedy_colors(mat, d, order))
+                ok, witness = validate_coloring(mat, col, d)
+                assert ok, witness
 
     @pytest.mark.parametrize(
         "graph",
         [path_graph(30), cycle_graph(31), complete_graph(7), grid2d_adjacency(9)],
         ids=["path", "cycle", "complete", "grid"],
     )
-    def test_distance_pattern_is_power_of_a_plus_i(self, graph, rng):
+    def test_distance_pattern_is_power_of_a_plus_i(self, graph, rng, monkeypatch):
         step = np.eye(graph.n, dtype=np.int64) + (graph.todense() != 0)
         order = rng.permutation(graph.n)
-        for d in (1, 2, 3, 5):
-            rp, cj = _distance_pattern(graph, d)
-            # row-major nonzeros, so columns come sorted within each row
-            rows, cols = np.nonzero(np.linalg.matrix_power(step, d))
-            assert np.array_equal(np.repeat(np.arange(graph.n), np.diff(rp)), rows)
-            assert np.array_equal(cj, cols)
-            via_pow = greedy_distance_coloring(graph, d, order, use_power_pattern=True)
-            via_bfs = greedy_distance_coloring(graph, d, order)
-            assert np.array_equal(via_pow.color, via_bfs.color)
+        # blocks of 7 rows put block boundaries all through the order
+        monkeypatch.setattr(coloring, "COLOR_BLOCK", 7)
+        for d in range(1, 6):
+            power = np.linalg.matrix_power(step, d) != 0
+            for rows in (np.arange(graph.n), order[:7]):
+                reach = _distance_pattern(_plus_identity(graph), rows, d)
+                assert np.array_equal(reach.toarray(), power[rows])
+            col = greedy_distance_coloring(graph, d, order)
+            assert np.array_equal(col.color, _bfs_greedy_colors(graph, d, order))
 
     def test_greedy_is_canonical(self, rng):
         # each node gets the minimum color absent among earlier nodes within d
@@ -138,6 +140,28 @@ class TestGreedyColoring:
         assert col.class_sizes().sum() == mat.n
         all_nodes = np.concatenate(col.classes)
         assert np.array_equal(np.sort(all_nodes), np.arange(mat.n))
+
+
+def _bfs_greedy_colors(mat, d, order):
+    """Reference greedy coloring: a depth-d BFS from each node in ``order``
+    collects the colors already used within distance d."""
+    color = np.zeros(mat.n, dtype=np.int64)
+    for i in order:
+        seen, frontier = {int(i)}, [int(i)]
+        for _ in range(d):
+            nxt = []
+            for u in frontier:
+                for v in mat.col_idx[mat.row_ptr[u] : mat.row_ptr[u + 1]]:
+                    if int(v) not in seen:
+                        seen.add(int(v))
+                        nxt.append(int(v))
+            frontier = nxt
+        forbidden = {int(color[v]) for v in seen}
+        c = 1
+        while c in forbidden:
+            c += 1
+        color[i] = c
+    return color
 
 
 def _pairwise_distances(dense):

@@ -268,6 +268,113 @@ class TestAposterioriBounds:
         assert np.allclose(ENTROPY.f(x), -XLOGX.f(x))
 
 
+def _reference_mesh(interval, theta, grid=2000):
+    a, b = interval.a, interval.b
+    if a > 0:
+        mesh = np.geomspace(a, b, grid)
+    else:
+        mesh = np.concatenate([[0.0], np.geomspace(max(b * 1e-16, 1e-300), b, grid - 1)])
+    return np.unique(np.concatenate([mesh, theta[(theta >= a) & (theta <= b)]]))
+
+
+def _reference_bounds(decomp, fun, interval, degraded=False):
+    """Plain per-Ritz-value evaluation of g_m (quadratic form) and h_m
+    (f(A) b) on the sorted mesh. Returns, for each, the scaled (min, max)
+    of the absolute value and the scale max_z sum_j |term_j(z)|: min |g|
+    sits near a cancellation, so rounding moves it relative to that scale,
+    not relative to itself."""
+    theta, alpha, beta, _ = decomp.spectrum()
+    th = np.maximum(theta, np.finfo(float).tiny)
+    z = _reference_mesh(interval, theta)
+    fz = fun.f(z)
+    tol = 1e-8 * interval.b
+    g_terms, h_terms = [], []
+    for j in range(th.size):
+        ab = alpha[j] * beta[j]
+        others = [ab_k / (th[j] - th[k]) for k, ab_k in enumerate(alpha * beta) if k != j]
+        gamma = 0.0 if degraded else sum(others)
+        fj, dfj, d2fj = (float(np.asarray(fn(th[j : j + 1]))[0]) for fn in (fun.f, fun.df, fun.d2f))
+        near = np.abs(z - th[j]) <= tol
+        dz = np.where(near, 1.0, z - th[j])
+        ratio = (fz - fj) / dz
+        g_terms.append(np.where(near, 0.5 * ab**2 * d2fj + 2 * ab * gamma * dfj,
+                                ab**2 * (ratio - dfj) / dz + 2 * ab * gamma * ratio))
+        h_terms.append(ab * np.where(near, dfj, ratio))
+    out = []
+    for terms, scale in ((np.column_stack(g_terms), decomp.b_norm**2), (np.column_stack(h_terms), decomp.b_norm)):
+        absval = scale * np.abs(terms.sum(axis=1))
+        out.append((absval.min(), absval.max(), scale * np.abs(terms).sum(axis=1).max()))
+    if degraded:
+        out[0] = (0.0,) + out[0][1:]
+    return out
+
+
+class _FixedSpectrum:
+    """Decomposition stand-in with a prescribed projected spectrum."""
+
+    def __init__(self, theta, alpha, beta, b_norm=1.0):
+        self.data = (np.asarray(theta), np.asarray(alpha), np.asarray(beta), len(theta))
+        self.b_norm = b_norm
+
+    def spectrum(self):
+        return self.data
+
+
+class TestBoundsAgainstReference:
+    SQRT = FunctionTriple(
+        f=lambda x: np.sqrt(np.maximum(x, 0.0)),
+        df=lambda x: 0.5 / np.sqrt(np.maximum(x, 1e-300)),
+        d2f=lambda x: -0.25 / np.maximum(x, 1e-300) ** 1.5,
+    )
+
+    def _check(self, decomp, fun, iv, degraded=False):
+        quad, vec = _reference_bounds(decomp, fun, iv, degraded)
+        for bounds, (lo, up, scale) in (
+            (aposteriori_bounds(decomp, fun, iv), quad),
+            (funvec_aposteriori(decomp, fun, iv), vec),
+        ):
+            assert abs(bounds[0] - lo) <= 1e-12 * scale
+            assert abs(bounds[1] - up) <= 1e-12 * scale
+
+    def test_intervals_and_functions_share_one_process(self, rng):
+        # alternating (interval, function) pairs: a stale or colliding mesh
+        # cache entry would evaluate one pair on another pair's mesh
+        a, _, _ = random_spd(60, rng, lo=0.5, hi=3.0)
+        d = RationalArnoldiDecomposition(DenseOperator(a), rng.standard_normal(60))
+        intervals = (SpectralInterval(0.4, 3.2), SpectralInterval(0.1, 4.0))
+        for k in range(12):
+            d.step(INF)
+            for fun in (XLOGX, self.SQRT):
+                for iv in intervals:
+                    self._check(d, fun, iv)
+
+    def test_zero_left_end_mesh(self, rng):
+        a, _, _ = random_spd(40, rng, lo=1e-3, hi=2.0)
+        d = RationalArnoldiDecomposition(DenseOperator(a), rng.standard_normal(40))
+        for _ in range(9):
+            d.step(INF)
+            self._check(d, ENTROPY, SpectralInterval(0.0, 2.5))
+
+    def test_clustered_ritz_values_degrade_lower_bound(self):
+        theta = np.array([0.3, 0.7, 0.7 + 1e-16, 1.5])
+        decomp = _FixedSpectrum(theta, [0.2, -0.1, 0.05, 0.3], [0.6, 0.5, -0.4, 0.2], b_norm=1.7)
+        iv = SpectralInterval(0.2, 2.0)
+        self._check(decomp, XLOGX, iv, degraded=True)
+        assert aposteriori_bounds(decomp, XLOGX, iv)[0] == 0.0
+
+    def test_spectrum_recomputed_after_each_step(self, rng):
+        a, _, _ = random_spd(30, rng)
+        iv = SpectralInterval(0.5, 3.0)
+        seq = eds_poles(iv, 10)
+        d = RationalArnoldiDecomposition(DenseOperator(a), rng.standard_normal(30))
+        for k in range(8):
+            d.step(seq[k] if k % 2 else INF)
+            assert d.spectrum() is d.spectrum()
+            a_m, _, m = d.projected()
+            assert m == d.spectrum()[3]
+            assert np.allclose(d.spectrum()[0], np.linalg.eigvalsh(0.5 * (a_m + a_m.T)))
+
+
 class TestGmEstimate:
     def test_zero_lower(self):
         assert gm_estimate(0.0, 3.0) == 0.0
