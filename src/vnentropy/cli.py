@@ -174,6 +174,8 @@ def cmd_entropy(args):
     stochastic = args.method in ("hutchinson", "hutchpp", "adaptive-hutchpp")
     if stochastic and args.seed is None:
         raise CliError("--seed is required for stochastic methods", EXIT_CONFIG)
+    if args.threads != 1:
+        print("note: --threads is ignored; quadratic forms run serially", file=sys.stderr)
     density, label, meta = load_density(args)
     try:
         if args.method == "probing":
@@ -188,7 +190,6 @@ def cmd_entropy(args):
                 d_override=args.d,
                 coloring_method="grid" if use_grid else "greedy",
                 solver_backend=args.solver,
-                threads=args.threads,
                 grid_side=meta.get("grid_side"),
             )
         else:
@@ -397,7 +398,7 @@ def build_parser():
     p.add_argument("--stop", default="estimate", choices=["bound", "estimate"])
     p.add_argument("--d", type=int, default=None, help="fixed probing distance")
     p.add_argument("--order", default="degree", choices=["degree", "rcm", "natural"])
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="ignored; accepted for old command lines")
     p.add_argument("--json", default=None, help="report path (stdout default)")
     p.add_argument("--csv", default=None, help="unused placeholder for symmetry")
     p.add_argument("--solver", default="auto", choices=["direct", "cg", "auto"])

@@ -4,9 +4,7 @@ end-to-end entropy drivers."""
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,12 +117,10 @@ class KrylovEntropyProvider:
         self.desingularize = desingularize
         self.poly_iters = 0
         self.rational_iters = 0
-        self._count_lock = threading.Lock()
 
     def _account(self, res: QuadformResult):
-        with self._count_lock:
-            self.poly_iters += res.poly_iters
-            self.rational_iters += res.rational_iters
+        self.poly_iters += res.poly_iters
+        self.rational_iters += res.rational_iters
         if not res.converged:
             raise NonConvergenceError(
                 f"quadratic form did not converge below {res.tol} in {res.dim} iterations"
@@ -180,7 +176,6 @@ def probing_trace(
     coloring: Coloring,
     provider: KrylovEntropyProvider,
     eps_hat: float,
-    threads: int = 1,
 ):
     """traceP_d = sum_l psi_l over the probing vectors of the coloring.
 
@@ -189,18 +184,10 @@ def probing_trace(
     """
     n = density.n
     sizes = coloring.class_sizes()
-
-    def one_class(ell):
-        v = probing_vector_dense(coloring, ell)
+    results = []
+    for ell in range(coloring.num_colors):
         tol = eps_hat * sizes[ell] / n
-        return provider.quadform(v, tol_abs=tol)
-
-    indices = range(coloring.num_colors)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_class, indices))
-    else:
-        results = [one_class(ell) for ell in indices]
+        results.append(provider.quadform(probing_vector_dense(coloring, ell), tol_abs=tol))
     return float(np.sum(results)), results
 
 
@@ -346,7 +333,6 @@ def entropy_probing(
     d_override: int | None = None,
     coloring_method: str = "greedy",
     solver_backend: str = "auto",
-    threads: int = 1,
     interval: SpectralInterval | None = None,
     grid_side: int | None = None,
 ) -> EntropyEstimate:
@@ -375,7 +361,7 @@ def entropy_probing(
         return colorings[d]
 
     def run_probing(d, eps_hat):
-        value, _ = probing_trace(density, make_coloring(d), provider, eps_hat, threads)
+        value, _ = probing_trace(density, make_coloring(d), provider, eps_hat)
         return value
 
     # bootstrap tolerance: S(rho) <= log n bounds the scale from above

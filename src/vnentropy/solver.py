@@ -4,7 +4,6 @@ conjugate gradient fallback."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,6 @@ class FactorCache:
     matrix: SparseSymMatrix
     factors: dict = field(default_factory=dict)
     factor_count: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock)
 
     @property
     def fill_ratio(self) -> float | None:
@@ -85,22 +83,15 @@ def _lu_spd(mat: SparseSymMatrix, tau: float) -> SuperLU:
 
 
 def factorize(mat: SparseSymMatrix, xi: float, cache: FactorCache) -> PoleFactor:
-    """SuperLU factor of |xi| I + A for a pole xi < 0, cached by pole.
-
-    Insertion is serialized: the first caller factorizes, others wait on the
-    cache lock; reads of existing factors are safe concurrently.
-    """
+    """SuperLU factor of |xi| I + A for a pole xi < 0, cached by pole."""
     if xi >= 0:
         raise ValueError("pole must be negative")
     if xi in cache.factors:
         return cache.factors[xi]
-    with cache._lock:
-        if xi in cache.factors:
-            return cache.factors[xi]
-        lu = _lu_spd(mat, -xi)
-        factor = PoleFactor(xi=xi, lu=lu, fill_ratio=lu.L.nnz / max(1, mat.nnz))
-        cache.factors[xi] = factor
-        cache.factor_count = len(cache.factors)
+    lu = _lu_spd(mat, -xi)
+    factor = PoleFactor(xi=xi, lu=lu, fill_ratio=lu.L.nnz / max(1, mat.nnz))
+    cache.factors[xi] = factor
+    cache.factor_count = len(cache.factors)
     return factor
 
 

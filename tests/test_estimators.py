@@ -46,12 +46,13 @@ class TestProbingTrace:
         assert len(per_class) == 40
         assert abs(value - exact) <= eps_hat * (1 + 1e-6)
 
-    def test_accumulation_deterministic_with_threads(self, rng):
+    def test_accumulation_deterministic(self, rng):
         rho = laplacian_density(random_connected_graph(60, 70, rng))
         coloring = greedy_distance_coloring(rho.matrix, 2)
-        v1, _ = probing_trace(rho, coloring, KrylovEntropyProvider(rho), 1e-7, threads=1)
-        v2, _ = probing_trace(rho, coloring, KrylovEntropyProvider(rho), 1e-7, threads=4)
+        v1, per_class1 = probing_trace(rho, coloring, KrylovEntropyProvider(rho), 1e-7)
+        v2, per_class2 = probing_trace(rho, coloring, KrylovEntropyProvider(rho), 1e-7)
         assert v1 == v2
+        assert per_class1 == per_class2
 
 
 class TestProbingErrorIdentity:

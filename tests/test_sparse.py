@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+import vnentropy.sparse
+from vnentropy.generators import barabasi_albert_adjacency, grid2d_adjacency
 from vnentropy.sparse import (
     MatrixFormatError,
     build_laplacian,
@@ -19,7 +21,13 @@ from vnentropy.sparse import (
     write_matrix_market,
 )
 
-from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    laplacian_density,
+    path_graph,
+    random_connected_graph,
+)
 
 P3_MM = """%%MatrixMarket matrix coordinate pattern symmetric
 3 3 2
@@ -265,6 +273,62 @@ class TestMatvec:
             matvec(path_graph(3), np.ones(4))
 
 
+def _reference_interval(mat, desingularize, iters, lower_safety=0.5, upper_safety=1.1, seed=0):
+    """Lanczos sweep with two unconditional Gram-Schmidt passes per step over
+    a column-major (n, m) basis: the loop spectral_interval used before the
+    three-term recurrence, kept as the reference for its values."""
+    n = mat.n
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n)
+    ones = np.ones(n) / np.sqrt(n)
+    if desingularize:
+        v -= ones @ v * ones
+    v /= np.linalg.norm(v)
+    m = min(iters, n - 1 if desingularize else n)
+    basis = np.zeros((n, m))
+    alpha = np.zeros(m)
+    beta = np.zeros(m)
+    basis[:, 0] = v
+    k = 0
+    for k in range(m):
+        w = matvec(mat, basis[:, k])
+        alpha[k] = basis[:, k] @ w
+        w -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
+        w -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
+        if desingularize:
+            w -= ones @ w * ones
+        nw = np.linalg.norm(w)
+        if k + 1 >= m or nw < 1e-13 * max(1.0, np.abs(alpha).max()):
+            k += 1
+            break
+        beta[k] = nw
+        basis[:, k + 1] = w / nw
+    t = np.diag(alpha[:k])
+    if k > 1:
+        t += np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
+    ritz = np.linalg.eigvalsh(t)
+    return max(0.0, float(ritz[0]) * lower_safety), float(ritz[-1]) * upper_safety
+
+
+def _interval_case_matrix(name):
+    if name.startswith("ba-"):
+        adjacency = barabasi_albert_adjacency(1024, 2, int(name[3:]))
+    elif name.startswith("grid-"):
+        adjacency = grid2d_adjacency(int(name[5:]))
+    elif name == "random":
+        adjacency = random_connected_graph(300, 400, np.random.default_rng(5))
+    else:
+        make = {"path": path_graph, "cycle": cycle_graph, "complete": complete_graph}[name]
+        adjacency = make(40)
+    return laplacian_density(adjacency).matrix
+
+
+INTERVAL_CASES = [
+    "path", "cycle", "complete", "grid-30", "grid-60",
+    "ba-7000", "ba-7001", "ba-11000", "random",
+]
+
+
 class TestSpectralInterval:
     def test_cycle_c4(self):
         lap = build_laplacian(cycle_graph(4))
@@ -289,6 +353,58 @@ class TestSpectralInterval:
             nonzero = w[w > 1e-10 * w.max()]
             assert iv.a <= nonzero.min() + 1e-12
             assert nonzero.max() <= iv.b + 1e-12
+
+    @pytest.mark.parametrize("iters", [10, 60, 200])
+    @pytest.mark.parametrize("desingularize", [True, False])
+    @pytest.mark.parametrize("name", INTERVAL_CASES)
+    def test_matches_two_pass_reference(self, name, desingularize, iters):
+        mat = _interval_case_matrix(name)
+        iv = spectral_interval(mat, desingularize=desingularize, iters=iters)
+        ref_a, ref_b = _reference_interval(mat, desingularize, iters)
+        assert abs(iv.b - ref_b) <= 1e-10 * ref_b
+        if desingularize:
+            assert abs(iv.a - ref_a) <= 1e-10 * ref_a
+        else:
+            # the smallest eigenvalue is 0: its Ritz value is rounding noise
+            # (clamped at 0) or converging to 0, so check it on the scale of b
+            assert abs(iv.a - ref_a) <= 1e-14 * ref_b
+
+    @pytest.mark.parametrize("desingularize", [True, False])
+    def test_early_breakdown_reads_no_unset_basis_row(self, monkeypatch, desingularize):
+        # the complete graph's Krylov space has dimension 1 (2 without the
+        # projection); NaN-filled storage would leak into [a, b] if the exit
+        # read a basis row the sweep never wrote
+        mat = _interval_case_matrix("complete")
+        ref = _reference_interval(mat, desingularize, 200)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", lambda shape, *args, **kw: np.full(shape, np.nan))
+            iv = spectral_interval(mat, desingularize=desingularize)
+        assert np.isfinite([iv.a, iv.b]).all()
+        assert iv.b == pytest.approx(ref[1], rel=1e-12)
+        assert iv.a == pytest.approx(ref[0], rel=1e-12, abs=1e-13 * ref[1])
+
+    @pytest.mark.parametrize(
+        "name, desingularize, iters, expected",
+        [
+            ("grid-30", True, 200, 200),
+            ("grid-30", False, 60, 60),
+            ("path", True, 200, 39),
+            ("path", False, 200, 40),
+        ],
+    )
+    def test_sweep_makes_one_matvec_per_step(self, monkeypatch, name, desingularize, iters, expected):
+        # min(iters, n - 1) products with the projection, min(iters, n) without
+        mat = _interval_case_matrix(name)
+        calls = []
+        inner = vnentropy.sparse.matvec
+
+        def counting(m, x):
+            calls.append(x.size)
+            return inner(m, x)
+
+        monkeypatch.setattr(vnentropy.sparse, "matvec", counting)
+        spectral_interval(mat, desingularize=desingularize, iters=iters)
+        assert calls == [mat.n] * expected
 
 
 class TestDenseOracle:
