@@ -18,7 +18,7 @@ from .coloring import (
     degree_descending_order,
     greedy_distance_coloring,
     grid2d_coloring,
-    probing_vectors,
+    make_coloring,
     rcm_order,
     validate_coloring,
 )
@@ -45,14 +45,12 @@ from .krylov import (
     adaptive_funvec,
     adaptive_quadform,
     aposteriori_bounds,
-    arnoldi_extend,
     desingularized_quadform,
     eds_poles,
     funvec_aposteriori,
     funvec_value,
     gm_estimate,
     quadform_value,
-    swap_last_pole_to_infinity,
     trace_to_csv,
 )
 from .solver import FactorCache, PoleSolver, cg_solve, factorize, solve

@@ -11,15 +11,7 @@ import time
 import numpy as np
 
 from .bounds import best_approx_error_oracle, cheb_bound, entropy_poly_bound, probing_apriori_bound
-from .coloring import (
-    banded_coloring,
-    bandwidth,
-    degree_descending_order,
-    greedy_distance_coloring,
-    grid2d_coloring,
-    rcm_order,
-    validate_coloring,
-)
+from .coloring import make_coloring, validate_coloring
 from .estimators import (
     NonConvergenceError,
     entropy_hutchpp,
@@ -151,6 +143,8 @@ def load_density(args) -> tuple[DensityMatrix, str, dict]:
         raise CliError("exactly one of --in or --gen is required", EXIT_CONFIG)
     adj = _binarized_adjacency(adj)
     comp, _ = largest_component(adj)
+    if comp.nnz == 0:
+        raise CliError("the input graph has no edges", EXIT_PARSE)
     if comp.n != adj.n:
         meta = dict(meta)
         meta.pop("grid_side", None)  # node numbering no longer grid-shaped
@@ -250,33 +244,16 @@ def cmd_bounds(args):
     return 0
 
 
+def _cli_coloring(mat, d, args, meta):
+    if args.coloring == "grid" and not meta.get("grid_side"):
+        raise CliError("grid coloring needs --gen grid2d:SIDE", EXIT_CONFIG)
+    return make_coloring(mat, d, args.coloring, args.order, meta.get("grid_side"))
+
+
 def cmd_color_stats(args):
     density, label, meta = load_density(args)
     mat = density.matrix
-    if args.coloring == "greedy":
-        if args.order == "degree":
-            perm = degree_descending_order(mat)
-        elif args.order == "rcm":
-            perm = rcm_order(mat)
-        else:
-            perm = np.arange(mat.n, dtype=np.int64)
-        col = greedy_distance_coloring(mat, args.d, perm)
-    elif args.coloring == "banded":
-        perm = rcm_order(mat)
-        beta = max(1, bandwidth(mat, perm))
-        base = banded_coloring(mat.n, beta, args.d)
-        color = np.empty(mat.n, dtype=np.int64)
-        color[perm] = base.color
-        from .coloring import _make_coloring
-
-        col = _make_coloring(args.d, color)
-    elif args.coloring == "grid":
-        side = meta.get("grid_side")
-        if not side:
-            raise CliError("grid coloring needs --gen grid2d:SIDE", EXIT_CONFIG)
-        col = grid2d_coloring(side, args.d)
-    else:
-        raise CliError(f"unknown coloring {args.coloring!r}", EXIT_CONFIG)
+    col = _cli_coloring(mat, args.d, args, meta)
     ok, _ = validate_coloring(mat, col, args.d)
     sizes = col.class_sizes()
     report = {
@@ -302,24 +279,8 @@ def cmd_probing_sweep(args):
     eps_hat = args.eps * exact / 2
     rows = ["d,colors,abs_error,apriori_bound,model_estimate,consecutive_diff"]
     values = {}
-    mat = density.matrix
-    order = degree_descending_order(mat)
-    rcm = rcm_order(mat) if args.coloring == "banded" else None
     for d in range(args.dmin, args.dmax + 1):
-        if args.coloring == "banded":
-            base = banded_coloring(mat.n, max(1, bandwidth(mat, rcm)), d)
-            color = np.empty(mat.n, dtype=np.int64)
-            color[rcm] = base.color
-            from .coloring import _make_coloring
-
-            col = _make_coloring(d, color)
-        elif args.coloring == "grid":
-            side = meta.get("grid_side")
-            if not side:
-                raise CliError("grid coloring needs --gen grid2d:SIDE", EXIT_CONFIG)
-            col = grid2d_coloring(side, d)
-        else:
-            col = greedy_distance_coloring(mat, d, order)
+        col = _cli_coloring(density.matrix, d, args, meta)
         value, _ = probing_trace(density, col, provider, eps_hat)
         values[d] = value
         err = abs(exact - value)
@@ -400,7 +361,6 @@ def build_parser():
     p.add_argument("--order", default="degree", choices=["degree", "rcm", "natural"])
     p.add_argument("--threads", type=int, default=1, help="ignored; accepted for old command lines")
     p.add_argument("--json", default=None, help="report path (stdout default)")
-    p.add_argument("--csv", default=None, help="unused placeholder for symmetry")
     p.add_argument("--solver", default="auto", choices=["direct", "cg", "auto"])
     p.add_argument("--apriori", action="store_true",
                    help="select d from the a priori bound instead of the heuristic")

@@ -1,4 +1,5 @@
-"""Distance-d colorings of sparse graphs and the induced probing vectors."""
+"""Distance-d colorings of sparse graphs, their validation and the induced
+probing vectors."""
 
 from __future__ import annotations
 
@@ -6,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from ._kernels import rcm_kernel, validate_distance_coloring
 from .sparse import SparseSymMatrix
 
 COLOR_BLOCK = 256  # rows of the (A + I)^d pattern held at once
@@ -34,7 +35,7 @@ class Coloring:
         return np.array([c.shape[0] for c in self.classes], dtype=np.int64)
 
 
-def _make_coloring(d: int, color: np.ndarray) -> Coloring:
+def _from_colors(d: int, color: np.ndarray) -> Coloring:
     num = int(color.max()) if color.size else 0
     used = np.unique(color)
     if used.shape[0] != num:  # compact to 1..s (greedy output is already contiguous)
@@ -53,8 +54,10 @@ def degree_descending_order(graph: SparseSymMatrix) -> np.ndarray:
 
 
 def rcm_order(graph: SparseSymMatrix) -> np.ndarray:
-    """Reverse Cuthill-McKee ordering; order[k] is the node placed at k."""
-    return rcm_kernel(graph.row_ptr, graph.col_idx)
+    """Reverse Cuthill-McKee ordering (scipy's csgraph); order[k] is the
+    node placed at k."""
+    order = reverse_cuthill_mckee(graph.pattern(), symmetric_mode=True)
+    return order.astype(np.int64)
 
 
 def bandwidth(graph: SparseSymMatrix, order=None) -> int:
@@ -98,7 +101,7 @@ def greedy_distance_coloring(graph: SparseSymMatrix, d: int, order=None) -> Colo
             c = int(used.argmin())
             color[i] = c
             num = max(num, c)
-    return _make_coloring(d, color)
+    return _from_colors(d, color)
 
 
 def _plus_identity(graph: SparseSymMatrix) -> sp.csr_matrix:
@@ -121,7 +124,7 @@ def banded_coloring(n: int, beta: int, d: int) -> Coloring:
         raise ValueError("need n, beta, d >= 1")
     period = d * beta + 1
     color = np.arange(n, dtype=np.int64) % period + 1
-    return _make_coloring(d, color)
+    return _from_colors(d, color)
 
 
 def grid2d_coloring(side: int, d: int) -> Coloring:
@@ -145,13 +148,7 @@ def grid2d_coloring(side: int, d: int) -> Coloring:
         m = 2 * s * s + 2 * s + 1
         k = (s + 1) * pow(s, -1, m) % m
         color = (x + k * y) % m + 1
-    return _make_coloring(d, color)
-
-
-def probing_vectors(coloring: Coloring):
-    """Implicit probing vectors: for each color the index set V_l defining
-    v_l = sum of the canonical basis vectors over V_l, ||v_l|| = |V_l|^{1/2}."""
-    return coloring.classes
+    return _from_colors(d, color)
 
 
 def probing_vector_dense(coloring: Coloring, ell: int) -> np.ndarray:
@@ -161,9 +158,58 @@ def probing_vector_dense(coloring: Coloring, ell: int) -> np.ndarray:
 
 
 def validate_coloring(graph: SparseSymMatrix, coloring: Coloring, d: int):
-    """Depth-d BFS check of the distance property.
+    """Check the distance-d property on rows of the (A + I)^d pattern, read
+    COLOR_BLOCK nodes at a time in index order.
 
-    Returns (True, None) or (False, (i, j)) with a violating same-color pair.
+    Returns (True, None) or (False, (i, j)): i is the first node with a
+    same-color node j != i within distance d, and j the smallest such node.
     """
-    ok, i, j = validate_distance_coloring(graph.row_ptr, graph.col_idx, coloring.color, d)
-    return (True, None) if ok else (False, (int(i), int(j)))
+    step = _plus_identity(graph)
+    color = coloring.color
+    for start in range(0, graph.n, COLOR_BLOCK):
+        rows = np.arange(start, min(start + COLOR_BLOCK, graph.n))
+        reach = _distance_pattern(step, rows, d).tocoo()
+        i, j = reach.row + start, reach.col
+        clash = (color[i] == color[j]) & (i != j)
+        if clash.any():
+            k = np.lexsort((j[clash], i[clash]))[0]
+            return False, (int(i[clash][k]), int(j[clash][k]))
+    return True, None
+
+
+def make_coloring(
+    graph: SparseSymMatrix,
+    d: int,
+    method: str = "greedy",
+    order: str = "degree",
+    grid_side: int | None = None,
+) -> Coloring:
+    """Distance-d coloring of the graph by ``method``.
+
+    "greedy": greedy_distance_coloring over the node ``order`` ("degree",
+    "rcm" or "natural"). "banded": banded_coloring of the RCM-permuted
+    matrix at its bandwidth, mapped back to the original numbering. "grid":
+    the lattice coloring of the grid2d graph with ``grid_side`` (row-major
+    numbering, side^2 = n).
+    """
+    if method == "grid":
+        if grid_side is None or grid_side * grid_side != graph.n:
+            raise ValueError("grid coloring needs the generating grid side")
+        return grid2d_coloring(grid_side, d)
+    if method == "banded":
+        perm = rcm_order(graph)
+        banded = banded_coloring(graph.n, max(1, bandwidth(graph, perm)), d)
+        color = np.empty(graph.n, dtype=np.int64)
+        color[perm] = banded.color
+        return _from_colors(d, color)
+    if method != "greedy":
+        raise ValueError(f"unknown coloring method {method!r}")
+    if order == "degree":
+        perm = degree_descending_order(graph)
+    elif order == "rcm":
+        perm = rcm_order(graph)
+    elif order == "natural":
+        perm = np.arange(graph.n, dtype=np.int64)
+    else:
+        raise ValueError(f"unknown order {order!r}")
+    return greedy_distance_coloring(graph, d, perm)

@@ -12,12 +12,7 @@ from scipy.linalg import qr as scipy_qr
 from scipy.special import gammaincinv, ndtri
 
 from .bounds import select_d_apriori
-from .coloring import (
-    Coloring,
-    degree_descending_order,
-    greedy_distance_coloring,
-    probing_vector_dense,
-)
+from .coloring import Coloring, make_coloring, probing_vector_dense
 from .krylov import (
     ENTROPY,
     FunctionTriple,
@@ -355,13 +350,13 @@ def entropy_probing(
     )
     colorings: dict = {}
 
-    def make_coloring(d):
+    def coloring_at(d):
         if d not in colorings:
-            colorings[d] = _build_coloring(density, d, order, coloring_method, grid_side)
+            colorings[d] = make_coloring(density.matrix, d, coloring_method, order, grid_side)
         return colorings[d]
 
     def run_probing(d, eps_hat):
-        value, _ = probing_trace(density, make_coloring(d), provider, eps_hat)
+        value, _ = probing_trace(density, coloring_at(d), provider, eps_hat)
         return value
 
     # bootstrap tolerance: S(rho) <= log n bounds the scale from above
@@ -412,36 +407,6 @@ def _solver_stats(operator):
         "solve_count": solver.solve_count,
         "fill_ratio": None if fill is None else round(fill, 3),
     }
-
-
-def _build_coloring(density, d, order, method, grid_side):
-    from .coloring import banded_coloring, bandwidth, grid2d_coloring, rcm_order
-
-    mat = density.matrix
-    if method == "grid":
-        if grid_side is None or grid_side * grid_side != mat.n:
-            raise ValueError("grid coloring needs the generating grid side")
-        return grid2d_coloring(grid_side, d)
-    if method == "banded":
-        perm = rcm_order(mat)
-        beta = max(1, bandwidth(mat, perm))
-        banded = banded_coloring(mat.n, beta, d)
-        color = np.empty(mat.n, dtype=np.int64)
-        color[perm] = banded.color
-        from .coloring import _make_coloring
-
-        return _make_coloring(d, color)
-    if method != "greedy":
-        raise ValueError(f"unknown coloring method {method!r}")
-    if order == "degree":
-        perm = degree_descending_order(mat)
-    elif order == "rcm":
-        perm = rcm_order(mat)
-    elif order == "natural":
-        perm = np.arange(mat.n, dtype=np.int64)
-    else:
-        raise ValueError(f"unknown order {order!r}")
-    return greedy_distance_coloring(mat, d, perm)
 
 
 # ---------------------------------------------------------------------------
@@ -541,19 +506,14 @@ def adaptive_hutchpp(
             x = gaussian_vector(seed, STREAM_OMEGA, omega_count, n)
             omega_count += 1
             tol = apply_tol(round_idx) if apply_tol is not None else None
-            cols.append(provider.apply(x, tol_abs=tol) if tol is not None else provider.apply(x))
+            cols.append(provider.apply(x, tol_abs=tol))
         y = np.column_stack(cols)
         y = y - q @ (q.T @ y)
         q_new = _rank_revealing_orth(y)
         round_forms = []
         for i in range(q_new.shape[1]):
             tol = quadform_tol("rank", round_idx, block) if quadform_tol is not None else None
-            val = (
-                provider.quadform(q_new[:, i], tol_abs=tol)
-                if tol is not None
-                else provider.quadform(q_new[:, i])
-            )
-            round_forms.append(val)
+            round_forms.append(provider.quadform(q_new[:, i], tol_abs=tol))
         t_low += float(np.sum(round_forms))
         captured.extend(round_forms)
         q = np.hstack([q, q_new])
@@ -569,25 +529,28 @@ def adaptive_hutchpp(
         block = min(n_rank, n - n_rank, max_total // 2 - n_rank)
         if block <= 0:
             break
-    samples: list = []
-    hutch_count = 0
-    while True:
-        needed = max(MIN_HUTCH_SAMPLES, _required_hutch_samples(samples, eps_hat, delta))
-        if len(samples) >= needed:
-            break
-        if n_rank + len(samples) >= max_total:
-            raise NonConvergenceError(
-                f"adaptive Hutch++ exceeded the vector budget {max_total}"
-            )
-        x = gaussian_vector(seed, STREAM_HUTCH, hutch_count, n)
-        hutch_count += 1
-        x = x - q @ (q.T @ x)
-        tol = quadform_tol("hutch", 0, 1) if quadform_tol is not None else None
-        samples.append(
-            provider.quadform(x, tol_abs=tol) if tol is not None else provider.quadform(x)
-        )
+    tol = quadform_tol("hutch", 0, 1) if quadform_tol is not None else None
+    samples = _hutchinson_tail(provider, eps_hat, delta, seed, tol, q, n_rank, max_total)
     estimate = t_low + float(np.mean(samples))
     return estimate, n_rank, len(samples)
+
+
+def _hutchinson_tail(
+    provider, eps_hat, delta, seed, tol, q=None, spent=0, max_total=MAX_TOTAL_VECTORS
+):
+    """Hutchinson quadratic forms x_j^T B x_j, j = 0, 1, ..., with x_j from
+    (seed, STREAM_HUTCH, j) projected off range(q) when q is given, until
+    the estimated tail bound holds. ``spent`` vectors of the budget
+    ``max_total`` are already used. Returns the list of forms."""
+    samples: list = []
+    while len(samples) < max(MIN_HUTCH_SAMPLES, _required_hutch_samples(samples, eps_hat, delta)):
+        if spent + len(samples) >= max_total:
+            raise NonConvergenceError(f"Hutchinson samples exceeded the vector budget {max_total}")
+        x = gaussian_vector(seed, STREAM_HUTCH, len(samples), provider.n)
+        if q is not None:
+            x = x - q @ (q.T @ x)
+        samples.append(provider.quadform(x, tol_abs=tol))
+    return samples
 
 
 def entropy_hutchpp(
@@ -639,8 +602,8 @@ def entropy_hutchpp(
             provider, eps_est, delta, seed, quadform_tol, apply_tol
         )
     elif method == "hutchinson":
-        value, n_hutch = _adaptive_hutchinson(provider, eps_est, delta, seed, quadform_tol)
-        n_rank = 0
+        samples = _hutchinson_tail(provider, eps_est, delta, seed, quadform_tol("hutch", 0, 1))
+        value, n_rank, n_hutch = float(np.mean(samples)), 0, len(samples)
     else:
         raise ValueError(f"unknown method {method!r}")
     return EntropyEstimate(
@@ -674,31 +637,7 @@ def _fixed_rank_hutchpp(provider, eps_hat, delta, seed, quadform_tol, apply_tol)
         provider.quadform(q[:, i], tol_abs=quadform_tol("rank", 1, MIN_DEFLATION))
         for i in range(q.shape[1])
     )
-    samples: list = []
-    j = 0
-    while True:
-        needed = max(MIN_HUTCH_SAMPLES, _required_hutch_samples(samples, eps_hat, delta))
-        if len(samples) >= needed:
-            break
-        if MIN_DEFLATION + len(samples) >= MAX_TOTAL_VECTORS:
-            raise NonConvergenceError("Hutch++ exceeded the vector budget")
-        x = gaussian_vector(seed, STREAM_HUTCH, j, n)
-        j += 1
-        x = x - q @ (q.T @ x)
-        samples.append(provider.quadform(x, tol_abs=quadform_tol("hutch", 0, 1)))
+    samples = _hutchinson_tail(
+        provider, eps_hat, delta, seed, quadform_tol("hutch", 0, 1), q, MIN_DEFLATION
+    )
     return float(t_low + np.mean(samples)), MIN_DEFLATION, len(samples)
-
-
-def _adaptive_hutchinson(provider, eps_hat, delta, seed, quadform_tol):
-    samples: list = []
-    j = 0
-    while True:
-        needed = max(MIN_HUTCH_SAMPLES, _required_hutch_samples(samples, eps_hat, delta))
-        if len(samples) >= needed:
-            break
-        if len(samples) >= MAX_TOTAL_VECTORS:
-            raise NonConvergenceError("Hutchinson exceeded the vector budget")
-        x = gaussian_vector(seed, STREAM_HUTCH, j, provider.n)
-        j += 1
-        samples.append(provider.quadform(x, tol_abs=quadform_tol("hutch", 0, 1)))
-    return float(np.mean(samples)), len(samples)

@@ -1,9 +1,8 @@
 """Rational Arnoldi engine for quadratic forms b^T f(A) b and for f(A) b.
 
-Poles are managed so that the projected matrix A_m = H_m K_m^{-1} and the
-a posteriori error bounds are available after every iteration: either by
-keeping one pole at infinity last via 2x2 pole swaps of the Hessenberg
-pencil (default), or with an auxiliary orthonormalized A v_seed direction.
+The pole at infinity is kept last by a 2x2 pole swap of the Hessenberg
+pencil after every finite pole, so the projected matrix A_m = H_m K_m^{-1}
+and the a posteriori error bounds are available after every iteration.
 """
 
 from __future__ import annotations
@@ -143,14 +142,11 @@ class DenseOperator:
 
 class RationalArnoldiDecomposition:
     """State of the rational Arnoldi process: orthonormal basis V, the
-    Hessenberg pencil (H_under, K_under), poles in decomposition order and,
-    in auxiliary mode, the extra infinity-direction bookkeeping."""
+    Hessenberg pencil (H_under, K_under) and the poles in decomposition
+    order, with the pole at infinity last."""
 
-    def __init__(self, operator, b, mode: str = "swap"):
-        if mode not in ("swap", "aux"):
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, operator, b):
         self.op = operator
-        self.mode = mode
         n = operator.n
         b = np.asarray(b, dtype=np.float64)
         self.b_norm = float(np.linalg.norm(b))
@@ -166,16 +162,8 @@ class RationalArnoldiDecomposition:
         self.exhausted = False
         self.poly_matvecs = 0
         self.rational_solves = 0
-        # auxiliary-vector route state
-        self.aux_res = None
-        self.aux_coeffs = None
-        self.aux_seed = -1
-        self.aux_norm0 = 0.0
         self._spectrum = None
-        if mode == "swap":
-            self._extend(INF)
-        else:
-            self._seed_aux(0)
+        self._extend(INF)
 
     # -- storage -----------------------------------------------------------
 
@@ -195,9 +183,7 @@ class RationalArnoldiDecomposition:
     @property
     def eval_dim(self) -> int:
         """Dimension of the subspace whose projection is currently usable."""
-        if self.mode == "swap":
-            return len(self.poles) if not self.exhausted else self.nbasis
-        return self.nbasis
+        return len(self.poles) if not self.exhausted else self.nbasis
 
     # -- extension ---------------------------------------------------------
 
@@ -249,31 +235,13 @@ class RationalArnoldiDecomposition:
         self.nbasis += 1
         return True
 
-    def _seed_aux(self, seed):
-        v = self.V[:, seed]
-        av = self.op.matvec(v)
-        self.poly_matvecs += 1
-        r, c = self._orthogonalize(av)
-        self.aux_res = r
-        self.aux_coeffs = c
-        self.aux_seed = seed
-        self.aux_norm0 = max(float(np.linalg.norm(av)), self.b_norm)
-
     def step(self, xi) -> bool:
-        """Consume one scheduled pole; returns False on breakdown."""
-        if self.mode == "swap":
-            ok = self._extend(xi)
-            if ok and xi != INF and len(self.poles) >= 2:
-                self.swap_last_pole_to_infinity()
-            return ok
+        """Consume one pole (infinity or negative), then swap a finite one
+        ahead of the trailing infinity. Returns False on breakdown, which
+        marks the decomposition exhausted (early convergence, not failure)."""
         ok = self._extend(xi)
-        if ok:
-            v_new = self.V[:, self.nbasis - 1]
-            coeff = float(v_new @ self.aux_res)
-            self.aux_res = self.aux_res - coeff * v_new
-            self.aux_coeffs = np.append(self.aux_coeffs, coeff)
-            if np.linalg.norm(self.aux_res) <= 1e-8 * self.aux_norm0:
-                self._seed_aux(self.nbasis - 1)
+        if ok and xi != INF and len(self.poles) >= 2:
+            self.swap_last_pole_to_infinity()
         return ok
 
     # -- pole swapping -----------------------------------------------------
@@ -335,26 +303,14 @@ class RationalArnoldiDecomposition:
     def projected(self):
         """(A_m, last_row, m): the projected matrix H_m K_m^{-1}, plus the
         residual coupling row h_{m+1}^T used by the a posteriori bounds."""
-        if self.mode == "swap" or self.exhausted:
-            m = self.eval_dim
-            if not self.exhausted and self.poles[-1] != INF:
-                raise RuntimeError("last pole must be infinity (swap first)")
-            hm = self.H[:m, :m]
-            km = self.K[:m, :m]
-            last = self.H[m, :m] if self.H.shape[0] > m else np.zeros(m)
-            a_m = np.linalg.solve(km.T, hm.T).T
-            return a_m, last, m
-        j = self.nbasis
-        mcols = len(self.poles)
-        kt = np.zeros((j, j))
-        ht = np.zeros((j + 1, j))
-        kt[:, :mcols] = self.K[:j, :mcols]
-        kt[self.aux_seed, j - 1] = 1.0
-        ht[:j, :mcols] = self.H[:j, :mcols]
-        ht[: self.aux_coeffs.shape[0], j - 1] = self.aux_coeffs
-        ht[j, j - 1] = float(np.linalg.norm(self.aux_res))
-        a_m = np.linalg.solve(kt.T, ht[:j, :].T).T
-        return a_m, ht[j, :], j
+        m = self.eval_dim
+        if not self.exhausted and self.poles[-1] != INF:
+            raise RuntimeError("last pole must be infinity (swap first)")
+        hm = self.H[:m, :m]
+        km = self.K[:m, :m]
+        last = self.H[m, :m] if self.H.shape[0] > m else np.zeros(m)
+        a_m = np.linalg.solve(km.T, hm.T).T
+        return a_m, last, m
 
     def spectrum(self):
         """Eigen-data of the symmetrized projection: (theta, alpha, beta, m).
@@ -366,35 +322,12 @@ class RationalArnoldiDecomposition:
             return self._spectrum
         a_m, last, m = self.projected()
         theta, u = np.linalg.eigh(0.5 * (a_m + a_m.T))
-        if self.mode == "swap" or self.exhausted:
-            km = self.K[:m, :m]
-            alpha = np.linalg.solve(km.T, last) @ u
-        else:
-            j = self.nbasis
-            mcols = len(self.poles)
-            kt = np.zeros((j, j))
-            kt[:, :mcols] = self.K[:j, :mcols]
-            kt[self.aux_seed, j - 1] = 1.0
-            alpha = np.linalg.solve(kt.T, last) @ u
+        alpha = np.linalg.solve(self.K[:m, :m].T, last) @ u
         beta = u[0, :].copy()
         for arr in (theta, alpha, beta):
             arr.flags.writeable = False
         self._spectrum = (theta, alpha, beta, m)
         return self._spectrum
-
-
-def arnoldi_extend(decomp: RationalArnoldiDecomposition, next_pole) -> RationalArnoldiDecomposition:
-    """One rational Arnoldi step with the given pole (infinity or negative);
-    in swap mode the trailing pole pair is reordered so infinity stays last.
-    Returns the decomposition; breakdown marks it exhausted (early
-    convergence, not failure)."""
-    decomp.step(next_pole)
-    return decomp
-
-
-def swap_last_pole_to_infinity(decomp: RationalArnoldiDecomposition) -> RationalArnoldiDecomposition:
-    decomp.swap_last_pole_to_infinity()
-    return decomp
 
 
 def quadform_value(decomp: RationalArnoldiDecomposition, fun: FunctionTriple) -> float:
@@ -599,7 +532,6 @@ def _run_adaptive(
     pole_source: PoleSequence | None,
     stop: str,
     m_max: int,
-    mode: str,
     want_vector: bool,
     keep_trace: bool,
     grid: int,
@@ -608,7 +540,7 @@ def _run_adaptive(
         raise ValueError("tol_abs must be positive")
     if stop not in ("bound", "estimate"):
         raise ValueError(f"unknown stop criterion {stop!r}")
-    decomp = RationalArnoldiDecomposition(operator, b, mode=mode)
+    decomp = RationalArnoldiDecomposition(operator, b)
     bound_fn = funvec_aposteriori if want_vector else aposteriori_bounds
     history = []
     switched_at = -1
@@ -687,7 +619,6 @@ def adaptive_quadform(
     pole_source: PoleSequence | None = None,
     stop: str = "estimate",
     m_max: int = DEFAULT_M_MAX,
-    mode: str = "swap",
     keep_trace: bool = False,
     grid: int = DEFAULT_MESH,
 ) -> QuadformResult:
@@ -696,7 +627,7 @@ def adaptive_quadform(
     when the chosen statistic (upper bound or geometric-mean estimate) falls
     below tol_abs."""
     return _run_adaptive(
-        operator, b, fun, interval, tol_abs, pole_source, stop, m_max, mode,
+        operator, b, fun, interval, tol_abs, pole_source, stop, m_max,
         want_vector=False, keep_trace=keep_trace, grid=grid,
     )
 
@@ -710,12 +641,11 @@ def adaptive_funvec(
     pole_source: PoleSequence | None = None,
     stop: str = "estimate",
     m_max: int = DEFAULT_M_MAX,
-    mode: str = "swap",
     grid: int = DEFAULT_MESH,
 ) -> QuadformResult:
     """f(A) b to absolute 2-norm tolerance tol_abs, same pole management."""
     return _run_adaptive(
-        operator, b, fun, interval, tol_abs, pole_source, stop, m_max, mode,
+        operator, b, fun, interval, tol_abs, pole_source, stop, m_max,
         want_vector=True, keep_trace=False, grid=grid,
     )
 
@@ -729,7 +659,6 @@ def desingularized_quadform(
     pole_source: PoleSequence | None = None,
     stop: str = "estimate",
     m_max: int = DEFAULT_M_MAX,
-    mode: str = "swap",
     operator: ShiftedOperator | None = None,
     grid: int = DEFAULT_MESH,
 ) -> QuadformResult:
@@ -756,7 +685,7 @@ def desingularized_quadform(
             tol=tol_abs,
         )
     result = _run_adaptive(
-        op, c, fun, interval, tol_abs, pole_source, stop, m_max, mode,
+        op, c, fun, interval, tol_abs, pole_source, stop, m_max,
         want_vector=False, keep_trace=False, grid=grid,
     )
     result.value += correction

@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-
-from ._kernels import matvec_kernel
 
 
 class MatrixFormatError(ValueError):
@@ -37,6 +36,11 @@ class SparseSymMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return matvec(self, x)
+
+    @cached_property
+    def _csr(self) -> sp.csr_matrix:
+        """scipy CSR matrix sharing ``values``, built on first product."""
+        return sp.csr_matrix((self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n))
 
     def _row_indices(self) -> np.ndarray:
         return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
@@ -265,12 +269,11 @@ class SpectralInterval:
 
 
 def matvec(mat: SparseSymMatrix, x: np.ndarray) -> np.ndarray:
-    """Exact CSR product A @ x with deterministic summation order."""
+    """CSR product A @ x; each row is summed in stored column order."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != mat.n:
         raise ValueError(f"dimension mismatch: {x.shape[0]} != {mat.n}")
-    out = np.empty(mat.n, dtype=np.float64)
-    return matvec_kernel(mat.row_ptr, mat.col_idx, mat.values, x, out)
+    return mat._csr @ x
 
 
 def build_laplacian(adjacency: SparseSymMatrix) -> SparseSymMatrix:

@@ -166,6 +166,25 @@ class TestExitCodes:
         )
         assert code == 2 and "non-convergence" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["entropy", "--method", "probing"],
+            ["color-stats", "--d", "2"],
+            ["probing-sweep"],
+        ],
+        ids=["entropy", "color-stats", "probing-sweep"],
+    )
+    def test_edgeless_graph_is_parse_error(self, tmp_path, capsys, command):
+        path = tmp_path / "edgeless.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 0\n")
+        code, _, err = run_cli([*command, "--in", str(path)], capsys)
+        assert code == 1 and err.startswith("error:") and "no edges" in err
+
+    def test_edgeless_generator_is_parse_error(self, capsys):
+        code, _, err = run_cli(["bench-scaling", "--gen", "grid2d", "--sizes", "1"], capsys)
+        assert code == 1 and err.startswith("error:") and "no edges" in err
+
     def test_unknown_generator(self, capsys):
         code, _, _ = run_cli(
             ["entropy", "--gen", "torus:4", "--method", "probing", "--eps", "1e-2"],

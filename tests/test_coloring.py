@@ -4,14 +4,15 @@ import pytest
 from vnentropy import coloring
 from vnentropy.coloring import (
     _distance_pattern,
+    _from_colors,
     _plus_identity,
     bandwidth,
     banded_coloring,
     degree_descending_order,
     greedy_distance_coloring,
     grid2d_coloring,
+    make_coloring,
     probing_vector_dense,
-    probing_vectors,
     rcm_order,
     validate_coloring,
 )
@@ -242,7 +243,7 @@ class TestProbingVectors:
     def test_norms(self, rng):
         mat = random_connected_graph(25, 25, rng)
         col = greedy_distance_coloring(mat, 2)
-        for ell, cls in enumerate(probing_vectors(col)):
+        for ell, cls in enumerate(col.classes):
             v = probing_vector_dense(col, ell)
             assert np.linalg.norm(v) == pytest.approx(np.sqrt(len(cls)))
 
@@ -253,13 +254,34 @@ class TestValidateColoring:
         col = greedy_distance_coloring(mat, 1)
         bad = col.color.copy()
         bad[bad == 3] = 1
-        from vnentropy.coloring import _make_coloring
-
-        merged = _make_coloring(1, bad)
+        merged = _from_colors(1, bad)
         ok, witness = validate_coloring(mat, merged, 1)
         assert not ok
         i, j = witness
         assert merged.color[i] == merged.color[j]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path_graph(30), cycle_graph(31), grid2d_adjacency(9)],
+        ids=["path", "cycle", "grid"],
+    )
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_pair_at_distance_d_detected_at_d_plus_1_passes(self, graph, d, monkeypatch):
+        # blocks of 7 rows put block boundaries all through the graph
+        monkeypatch.setattr(coloring, "COLOR_BLOCK", 7)
+        dist = _pairwise_distances(graph.todense())
+        for i in (0, 8, graph.n // 2 + 3):
+            for gap in (d, d + 1):
+                j = int(np.flatnonzero(dist[i] == gap)[-1])
+                color = np.arange(1, graph.n + 1)
+                color[j] = color[i]
+                ok, witness = validate_coloring(graph, _from_colors(d, color), d)
+                if gap == d:
+                    assert not ok
+                    assert sorted(witness) == sorted((i, j))
+                    assert color[witness[0]] == color[witness[1]]
+                else:
+                    assert ok and witness is None
 
     def test_full_band_banded_ok(self):
         n, beta, d = 20, 2, 2
@@ -272,6 +294,33 @@ class TestValidateColoring:
         mat = from_coo(n, rows, cols, np.ones(len(rows)))
         ok, _ = validate_coloring(mat, banded_coloring(n, beta, d), d)
         assert ok
+
+
+class TestMakeColoring:
+    def test_matches_direct_constructions(self, rng):
+        mat = random_connected_graph(60, 80, rng)
+        for d in (1, 2, 3):
+            for order, perm in (
+                ("degree", degree_descending_order(mat)),
+                ("rcm", rcm_order(mat)),
+                ("natural", np.arange(mat.n)),
+            ):
+                col = make_coloring(mat, d, "greedy", order)
+                assert np.array_equal(col.color, greedy_distance_coloring(mat, d, perm).color)
+            banded = make_coloring(mat, d, "banded")
+            assert banded.num_colors == min(mat.n, d * bandwidth(mat, rcm_order(mat)) + 1)
+            assert validate_coloring(mat, banded, d)[0]
+        grid = make_coloring(grid2d_adjacency(12), 3, "grid", grid_side=12)
+        assert np.array_equal(grid.color, grid2d_coloring(12, 3).color)
+
+    def test_rejects_bad_arguments(self):
+        mat = grid2d_adjacency(5)
+        with pytest.raises(ValueError):
+            make_coloring(mat, 2, "grid", grid_side=4)
+        with pytest.raises(ValueError):
+            make_coloring(mat, 2, "lattice")
+        with pytest.raises(ValueError):
+            make_coloring(mat, 2, "greedy", "random")
 
 
 class TestPaperBandwidth:

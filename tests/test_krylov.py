@@ -432,32 +432,6 @@ class TestPoleSwap:
         assert psi_after == pytest.approx(psi_before, rel=1e-12)
 
 
-class TestAuxiliaryMode:
-    def test_matches_swap_mode_values(self, rng):
-        a, _, _ = random_spd(30, rng)
-        b = rng.standard_normal(30)
-        iv = SpectralInterval(0.5, 3.0)
-        psi = dense_quadform(a, b, XLOGX)
-        poles = [INF, -0.5, -2.0, INF, -1.0]
-        d_aux = RationalArnoldiDecomposition(DenseOperator(a), b, mode="aux")
-        for xi in poles:
-            d_aux.step(xi)
-        err = abs(quadform_value(d_aux, XLOGX) - psi)
-        lo, up = aposteriori_bounds(d_aux, XLOGX, iv)
-        assert lo <= err * (1 + 1e-9) and err <= up * (1 + 1e-9)
-
-    def test_reseeds_after_polynomial_steps(self, rng):
-        a, _, _ = random_spd(20, rng)
-        b = rng.standard_normal(20)
-        d = RationalArnoldiDecomposition(DenseOperator(a), b, mode="aux")
-        seeds = [d.aux_seed]
-        for _ in range(4):
-            d.step(INF)
-            seeds.append(d.aux_seed)
-        # each polynomial step exhausts the auxiliary direction
-        assert seeds[-1] > 0
-
-
 class TestAdaptiveQuadform:
     def test_huge_tolerance_minimum_iterations(self, rng):
         a, _, _ = random_spd(20, rng)
@@ -641,18 +615,3 @@ class TestDesingularizationConsistency:
             )
             assert res_d.converged and res_p.converged
             assert abs(res_d.value - res_p.value) <= 2 * tol
-
-
-class TestAdaptiveAuxMode:
-    def test_aux_route_converges_with_switching(self, rng):
-        a, nodes = chebyshev_diag(300)
-        b = rng.standard_normal(300)
-        iv = SpectralInterval(1e-3, 1e3)
-        psi = float(b @ (nodes * np.log(nodes) * b))
-        res = adaptive_quadform(
-            DenseOperator(a), b, XLOGX, iv, tol_abs=1e-7,
-            pole_source=eds_poles(iv, 40), mode="aux",
-        )
-        assert res.converged
-        assert abs(res.value - psi) <= 1e-6
-        assert res.rational_iters > 0
