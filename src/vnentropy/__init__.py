@@ -63,6 +63,7 @@ from .sparse import (
     dense_entropy_oracle,
     dense_sym_eig,
     entropy_rescale,
+    laplacian_interval,
     largest_component,
     matvec,
     normalize_trace,

@@ -43,13 +43,25 @@ def probing_apriori_bound(d: int, n: int, a: float, b: float) -> float:
     return 2.0 * n * entropy_poly_bound(d, a, b)
 
 
-def select_d_apriori(n: int, a: float, b: float, eps_hat: float, d_max: int = D_MAX_DEFAULT) -> int:
-    """Smallest d >= 2 whose a priori probing bound is below eps_hat."""
+def select_d_apriori(
+    n: int, a: float, b: float, eps_hat: float, d_max: int = D_MAX_DEFAULT,
+    d_exact: int | None = None,
+) -> int:
+    """Smallest d >= 2 whose a priori probing bound is below eps_hat.
+
+    ``d_exact`` is a distance at which probing is exact, such as a bound on
+    the graph diameter (a distance-d coloring then gives every node its own
+    color). When given, it is returned if no d <= min(d_max, d_exact - 1)
+    attains the bound; without it that case raises ValueError.
+    """
     if eps_hat <= 0:
         raise ValueError("eps_hat must be positive")
-    for d in range(2, d_max + 1):
+    top = d_max if d_exact is None else min(d_max, d_exact - 1)
+    for d in range(2, top + 1):
         if probing_apriori_bound(d, n, a, b) <= eps_hat:
             return d
+    if d_exact is not None:
+        return d_exact
     raise ValueError(f"no d <= {d_max} attains the requested bound {eps_hat}")
 
 

@@ -27,10 +27,10 @@ from .sparse import (
     build_laplacian,
     dense_entropy_oracle,
     from_coo,
+    laplacian_interval,
     largest_component,
     normalize_trace,
     parse_matrix_market,
-    spectral_interval,
 )
 
 EXIT_PARSE = 1
@@ -274,7 +274,7 @@ def cmd_probing_sweep(args):
     if density.n > 5000:
         raise CliError("probing sweep needs the dense oracle (n <= 5000)", EXIT_CONFIG)
     exact = dense_entropy_oracle(density.matrix)
-    interval = spectral_interval(density.matrix, desingularize=True)
+    interval = laplacian_interval(density)
     provider = KrylovEntropyProvider(density, ENTROPY, interval=interval)
     eps_hat = args.eps * exact / 2
     rows = ["d,colors,abs_error,apriori_bound,model_estimate,consecutive_diff"]

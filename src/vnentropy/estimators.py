@@ -25,7 +25,7 @@ from .krylov import (
     eds_poles,
 )
 from .solver import PoleSolver
-from .sparse import DensityMatrix, SpectralInterval, dense_sym_eig, spectral_interval
+from .sparse import DensityMatrix, SpectralInterval, dense_sym_eig, laplacian_interval
 
 STREAM_PILOT = 1
 STREAM_OMEGA = 2
@@ -94,7 +94,7 @@ class KrylovEntropyProvider:
         self.fun = fun
         self.n = density.n
         if interval is None:
-            interval = spectral_interval(density.matrix, desingularize=True)
+            interval = laplacian_interval(density)
         self.interval = interval
         if pole_source is None and interval.a > 0:
             pole_source = eds_poles(interval, 40)
@@ -288,7 +288,11 @@ def heuristic_select_d(
     """Probing-error heuristic: run traceP_d for d = 2, 3 (d = 1 supplied),
     estimate |trace - traceP_d| by consecutive differences and fit the decay
     model; on an invalid fit (q outside (0,1)) fall back to the a priori
-    bound."""
+    bound. d_star is capped at the interval's diameter bound, where probing
+    is exact."""
+    cap = provider.interval.diameter_bound
+    if cap is not None:
+        d_max = min(d_max, cap)
     p2 = run_probing(2, eps_hat)
     p3 = run_probing(3, eps_hat)
     delta1, delta2 = abs(p2 - p1), abs(p3 - p2)
@@ -307,7 +311,7 @@ def heuristic_select_d(
     fallback = not valid
     if fallback:
         d_star = select_d_apriori(
-            density.n, provider.interval.a, provider.interval.b, eps_hat, d_max
+            density.n, provider.interval.a, provider.interval.b, eps_hat, d_max, cap
         )
     return HeuristicFit(
         deltas=(delta1, delta2),
@@ -343,7 +347,7 @@ def entropy_probing(
     t0 = time.perf_counter()
     n = density.n
     if interval is None:
-        interval = spectral_interval(density.matrix, desingularize=True)
+        interval = laplacian_interval(density)
     operator = ShiftedOperator(density.matrix, PoleSolver(density.matrix, backend=solver_backend))
     provider = KrylovEntropyProvider(
         density, ENTROPY, interval=interval, operator=operator, stop=stop
@@ -371,7 +375,7 @@ def entropy_probing(
         fit = heuristic_select_d(density, provider, eps_hat, run_probing, p1)
         d_star = fit.d_star
     else:
-        d_star = select_d_apriori(n, interval.a, interval.b, eps_hat)
+        d_star = select_d_apriori(n, interval.a, interval.b, eps_hat, d_exact=interval.diameter_bound)
     if fit is not None and d_star <= 3:
         d_star = 3
         value = fit.trace_values[3]
@@ -569,7 +573,7 @@ def entropy_hutchpp(
     t0 = time.perf_counter()
     n = density.n
     if interval is None:
-        interval = spectral_interval(density.matrix, desingularize=True)
+        interval = laplacian_interval(density)
     operator = ShiftedOperator(density.matrix, PoleSolver(density.matrix, backend=solver_backend))
     provider = KrylovEntropyProvider(
         density, ENTROPY, interval=interval, operator=operator, stop=stop

@@ -4,12 +4,13 @@ dense reference oracle used throughout the test suite."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 
 class MatrixFormatError(ValueError):
@@ -255,17 +256,24 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class SpectralInterval:
-    """Estimated spectral enclosure [a, b] from widened Ritz values.
+    """Spectral enclosure [a, b] of a density matrix and how it was found.
 
-    From ``spectral_interval``, a is 0.5 x the smallest Ritz value (the Ritz
-    estimate of lambda_2 when desingularized) and b is 1.1 x the largest.
-    Nothing certifies a <= lambda_2: on the path graph P_2000 the default
-    sweep returns a = 11.9 lambda_2.
+    ``provenance`` is ``"closed-form"`` when ``laplacian_interval`` derived
+    both ends for a connected graph-Laplacian density: then a <= lambda_2
+    and lambda_max <= b are certified, and ``diameter_bound`` holds the
+    certified D >= diameter of the graph that a was derived from.
+    Otherwise it is ``"ritz-uncertified"`` and a is 0.5 x a Ritz value that
+    certifies nothing (on the path graph P_2000 it is 11.9 lambda_2). b is
+    then certified when it is the Gershgorin bound of
+    ``laplacian_interval``'s fallback, and not when it is the widened Ritz
+    value of ``spectral_interval``. Intervals built by hand carry the
+    uncertified default.
     """
 
     a: float
     b: float
-    widened: bool = field(default=False)
+    provenance: Literal["closed-form", "ritz-uncertified"] = "ritz-uncertified"
+    diameter_bound: int | None = None
 
 
 def matvec(mat: SparseSymMatrix, x: np.ndarray) -> np.ndarray:
@@ -435,4 +443,45 @@ def spectral_interval(
     ritz = np.linalg.eigvalsh(t)
     a = max(0.0, float(ritz[0]) * lower_safety)
     b = float(ritz[-1]) * upper_safety
-    return SpectralInterval(a=a, b=b, widened=True)
+    return SpectralInterval(a=a, b=b)
+
+
+def laplacian_interval(density: DensityMatrix) -> SpectralInterval:
+    """Certified [a, b] for a connected graph-Laplacian density rho = s L_w.
+
+    rho qualifies when its off-diagonals are negative, its rows sum to zero
+    (max |rho 1| <= 1e-12) and a BFS from node 0 reaches every node. With w
+    the off-diagonal magnitudes, deg the structural degrees and
+    D = 2 ecc(0) >= diameter from that BFS:
+
+    - a = 4 min(w) / (n D) <= lambda_2, by Mohar's lambda_2(L_G) >= 4 / (n
+      diam) [Graphs Combin. 7, 1991] and L_w >= min(w) L_G;
+    - b = max(w) max over edges ij of (deg_i + deg_j) >= lambda_max, by
+      Anderson & Morley [Lin. Multilin. Algebra 18, 1985] and
+      L_w <= max(w) L_G.
+
+    Both take one pass over the entries and one BFS, with no product by rho.
+    As D >= 2 and b >= 2 max(w), a <= b / 2. Other input gets the
+    Gershgorin bound b = max_i sum_j |rho_ij|, which is certified, and the
+    Ritz a of ``spectral_interval``, which is not.
+    """
+    mat = density.matrix
+    n = mat.n
+    rows = mat._row_indices()
+    off = rows != mat.col_idx
+    w = -mat.values[off]
+    row_sums = np.bincount(rows, weights=mat.values, minlength=n)
+    if w.size and w.min() > 0 and np.abs(row_sums).max() <= 1e-12:
+        order, pred = breadth_first_order(mat.pattern(), 0, return_predecessors=True)
+        if order.size == n:
+            # BFS visits nodes by distance from node 0: the last is farthest
+            ecc, node = 0, order[-1]
+            while node != 0:
+                node, ecc = pred[node], ecc + 1
+            diameter_bound = 2 * ecc
+            deg = np.bincount(rows[off], minlength=n)
+            a = 4.0 * float(w.min()) / (n * diameter_bound)
+            b = float(w.max()) * float((deg[rows[off]] + deg[mat.col_idx[off]]).max())
+            return SpectralInterval(a, b, "closed-form", diameter_bound)
+    gershgorin = float(np.bincount(rows, weights=np.abs(mat.values), minlength=n).max())
+    return SpectralInterval(spectral_interval(mat, desingularize=True).a, gershgorin)

@@ -95,6 +95,17 @@ class TestSelectDApriori:
         with pytest.raises(ValueError):
             select_d_apriori(10**9, 0.0, 1.0, 1e-12, d_max=16)
 
+    def test_exact_distance_replaces_failure(self):
+        # no d <= 16 attains the bound: the exact distance is returned
+        assert select_d_apriori(10**9, 0.0, 1.0, 1e-12, d_max=16, d_exact=12) == 12
+        assert select_d_apriori(10**9, 0.0, 1.0, 1e-12, d_max=16, d_exact=40) == 40
+
+    def test_exact_distance_caps_the_scan(self):
+        # the scan alone gives d = 8 (test_scan); a smaller exact distance wins
+        assert select_d_apriori(100, 0.0, 1.0, 1.0, d_exact=9) == 8
+        assert select_d_apriori(100, 0.0, 1.0, 1.0, d_exact=8) == 8
+        assert select_d_apriori(100, 0.0, 1.0, 1.0, d_exact=5) == 5
+
 
 class TestBestApproxOracle:
     def test_constant_approx(self):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -88,6 +89,21 @@ class TestEntropyCommand:
         )
         assert code == 0 and out == ""
         jsonschema.validate(json.loads(target.read_text()), REPORT_SCHEMA)
+
+
+    def test_apriori_tight_eps_returns_exact_probing_report(self, capsys):
+        # the a priori bound fails for every d <= 64 here; the diameter
+        # bound of the closed-form interval (8) caps d, and probing there
+        # gives every node its own color
+        args = ["entropy", "--gen", "ba:256:2", "--seed", "7", "--apriori", "--eps", "1e-6"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["d"] == 8 and report["colors"] == report["n"] == 256
+        density, _, _ = cli.load_density(argparse.Namespace(infile=None, gen="ba:256:2", seed=7))
+        exact = dense_entropy_oracle(density.matrix)
+        assert abs(report["value"] - exact) <= 1e-6 * exact
 
 
 class TestSolverLine:
@@ -293,6 +309,18 @@ class TestProbingSweep:
             d, colors, err, bound, model, consec = line.split(",")
             if int(d) >= 2:
                 assert float(err) <= float(bound)
+
+    def test_uses_the_closed_form_interval(self, capsys, monkeypatch):
+        import vnentropy.sparse
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Lanczos interval sweep called on a Laplacian")
+
+        # the sweep is reachable only through laplacian_interval's fallback
+        assert not hasattr(cli, "spectral_interval")
+        monkeypatch.setattr(vnentropy.sparse, "spectral_interval", forbidden)
+        code, _, _ = run_cli(["probing-sweep", "--gen", "grid2d:8", "--dmax", "3"], capsys)
+        assert code == 0
 
 
 class TestBenchScaling:

@@ -303,8 +303,61 @@ class TestHeuristicFallback:
             run_probing=lambda d, eps: values[d], p1=0.8,
         )
         assert fit.fallback and not fit.valid
-        expect = select_d_apriori(rho.n, provider.interval.a, provider.interval.b, 1e-3)
-        assert fit.d_star == expect
+        iv = provider.interval
+        # the closed-form interval's bound first holds beyond the diameter
+        # bound, where probing is exact: d_star is capped there
+        uncapped = select_d_apriori(rho.n, iv.a, iv.b, 1e-3)
+        assert uncapped > iv.diameter_bound
+        assert fit.d_star == iv.diameter_bound
+
+
+class TestDiameterCap:
+    def test_valid_fit_capped_at_diameter_bound(self, rng):
+        from vnentropy.estimators import heuristic_select_d
+
+        rho = laplacian_density(random_connected_graph(60, 80, rng))
+        provider = KrylovEntropyProvider(rho)
+        # doctored slowly decaying differences 0.1, 0.02: the k = 2 fit
+        # (q = 0.8) is valid but needs a d beyond the diameter bound
+        values = {2: 0.9, 3: 0.92}
+        fit = heuristic_select_d(
+            rho, provider, eps_hat=1e-9,
+            run_probing=lambda d, eps: values[d], p1=0.8,
+        )
+        assert fit.valid and not fit.fallback
+        assert fit_probing_model(0.1, 0.02, 1e-9)[1] > provider.interval.diameter_bound
+        assert fit.d_star == provider.interval.diameter_bound
+
+    def test_apriori_mode_probes_exactly_at_the_cap(self, rng):
+        # the a priori bound on the closed-form interval fails below the
+        # diameter bound; probing at d = D gives every node its own color
+        rho = laplacian_density(random_connected_graph(60, 80, rng))
+        est = entropy_probing(rho, 1e-6, mode="apriori")
+        diameter = KrylovEntropyProvider(rho).interval.diameter_bound
+        assert est.d == diameter and est.colors == rho.n
+        exact = dense_entropy_oracle(rho.matrix)
+        assert abs(est.value - exact) <= 1e-6 * exact
+
+
+class TestNoLanczosSweepOnLaplacians:
+    def test_estimators_use_the_closed_form(self, rng, monkeypatch):
+        import vnentropy.estimators
+        import vnentropy.sparse
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Lanczos interval sweep called on a Laplacian")
+
+        # the estimators reach the sweep only through the fallback of
+        # laplacian_interval, which looks it up in vnentropy.sparse
+        assert not hasattr(vnentropy.estimators, "spectral_interval")
+        monkeypatch.setattr(vnentropy.sparse, "spectral_interval", forbidden)
+        rho = laplacian_density(random_connected_graph(80, 100, rng))
+        exact = dense_entropy_oracle(rho.matrix)
+        assert KrylovEntropyProvider(rho).interval.provenance == "closed-form"
+        est = entropy_probing(rho, 1e-3)
+        assert abs(est.value - exact) <= 1e-3 * exact
+        est = entropy_hutchpp(rho, 5e-2, 1e-1, seed=5)
+        assert abs(est.value - exact) <= 0.15 * exact
 
 
 class TestSmallGraphEdges:

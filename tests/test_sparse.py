@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 import vnentropy.sparse
 from vnentropy.generators import barabasi_albert_adjacency, grid2d_adjacency
@@ -11,6 +11,7 @@ from vnentropy.sparse import (
     dense_sym_eig,
     entropy_rescale,
     from_coo,
+    laplacian_interval,
     largest_component,
     matvec,
     normalize_trace,
@@ -333,7 +334,7 @@ class TestSpectralInterval:
     def test_cycle_c4(self):
         lap = build_laplacian(cycle_graph(4))
         iv = spectral_interval(lap, desingularize=True, iters=10)
-        assert iv.widened and iv.a <= 2.0 <= 4.0 <= iv.b
+        assert iv.provenance == "ritz-uncertified" and iv.a <= 2.0 <= 4.0 <= iv.b
 
     def test_identity(self):
         n = 12
@@ -405,6 +406,100 @@ class TestSpectralInterval:
         monkeypatch.setattr(vnentropy.sparse, "matvec", counting)
         spectral_interval(mat, desingularize=desingularize, iters=iters)
         assert calls == [mat.n] * expected
+
+
+def _weighted_graph(n, extra_edges, seed):
+    """Random connected graph with edge weights in [0.1, 10]."""
+    rng = np.random.default_rng(seed)
+    pattern = random_connected_graph(n, extra_edges, rng)
+    rows = np.repeat(np.arange(n), np.diff(pattern.row_ptr))
+    upper = rows < pattern.col_idx
+    r, c = rows[upper], pattern.col_idx[upper]
+    w = rng.uniform(0.1, 10.0, r.size)
+    return from_coo(n, np.r_[r, c], np.r_[c, r], np.r_[w, w])
+
+
+def _weak_link_path(n, weak):
+    """Path graph with unit weights except one middle edge of weight weak:
+    lambda_2 is about 4 weak / n, so the min(w) in a is what certifies it."""
+    i = np.arange(n - 1)
+    w = np.ones(n - 1)
+    w[n // 2] = weak
+    return from_coo(n, np.r_[i, i + 1], np.r_[i + 1, i], np.r_[w, w])
+
+
+CERTIFIED_CASES = {
+    "path-40": lambda: path_graph(40),
+    "path-2000": lambda: path_graph(2000),
+    "cycle-41": lambda: cycle_graph(41),
+    "complete-12": lambda: complete_graph(12),
+    "complete-2": lambda: complete_graph(2),
+    "grid-20": lambda: grid2d_adjacency(20),
+    "ba-7000": lambda: barabasi_albert_adjacency(1024, 2, 7000),
+    "ba-300-3": lambda: barabasi_albert_adjacency(300, 3, 1),
+    "random-1": lambda: random_connected_graph(200, 30, np.random.default_rng(1)),
+    "random-2": lambda: random_connected_graph(300, 400, np.random.default_rng(2)),
+    "random-3": lambda: random_connected_graph(80, 600, np.random.default_rng(3)),
+    "weighted": lambda: _weighted_graph(150, 200, 4),
+    "weak-link-path": lambda: _weak_link_path(40, 1e-3),
+}
+
+
+class TestLaplacianInterval:
+    @pytest.mark.parametrize("name", CERTIFIED_CASES)
+    def test_certified_against_dense_spectrum(self, name):
+        density = laplacian_density(CERTIFIED_CASES[name]())
+        iv = laplacian_interval(density)
+        w = np.linalg.eigvalsh(density.matrix.todense())
+        assert iv.provenance == "closed-form"
+        # slack for the dense eigensolver's rounding only
+        assert 0 < iv.a <= w[1] + 1e-13 * w[-1]
+        assert w[-1] <= iv.b * (1 + 1e-13)
+        diameter = shortest_path(density.matrix.pattern(), unweighted=True).max()
+        assert diameter <= iv.diameter_bound
+
+    def test_closed_forms_on_grid(self):
+        # binary Laplacian: w = s, max deg_i + deg_j = 8, ecc(corner 0) = 2 (side - 1)
+        side = 20
+        density = laplacian_density(grid2d_adjacency(side))
+        iv = laplacian_interval(density)
+        s, n = density.scale, side * side
+        assert iv.diameter_bound == 4 * (side - 1)
+        assert iv.a == pytest.approx(4 * s / (n * iv.diameter_bound), rel=1e-15)
+        assert iv.b == pytest.approx(8 * s, rel=1e-15)
+
+    def test_no_products_with_rho(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the closed form must not touch rho's products")
+
+        monkeypatch.setattr(vnentropy.sparse, "matvec", forbidden)
+        monkeypatch.setattr(vnentropy.sparse, "spectral_interval", forbidden)
+        assert laplacian_interval(laplacian_density(grid2d_adjacency(12))).provenance == "closed-form"
+
+    def test_non_laplacian_spd_gets_gershgorin_b(self):
+        # positive off-diagonals and nonzero row sums: not a Laplacian
+        n = 60
+        i = np.arange(n - 1)
+        rows = np.r_[np.arange(n), i, i + 1]
+        cols = np.r_[np.arange(n), i + 1, i]
+        vals = np.r_[np.linspace(1.0, 3.0, n), np.full(2 * (n - 1), 0.4)]
+        density = normalize_trace(from_coo(n, rows, cols, vals))
+        iv = laplacian_interval(density)
+        dense = density.matrix.todense()
+        assert iv.provenance == "ritz-uncertified" and iv.diameter_bound is None
+        assert iv.b == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-15)
+        assert np.linalg.eigvalsh(dense)[-1] <= iv.b
+
+    def test_disconnected_laplacian_falls_back(self):
+        # paths 0..29 and 30..49: zero row sums and negative off-diagonals,
+        # but the BFS from node 0 misses the second component
+        i = np.r_[np.arange(29), np.arange(30, 49)]
+        density = laplacian_density(from_coo(50, np.r_[i, i + 1], np.r_[i + 1, i], np.ones(2 * i.size)))
+        iv = laplacian_interval(density)
+        dense = density.matrix.todense()
+        assert iv.provenance == "ritz-uncertified" and iv.diameter_bound is None
+        assert iv.b == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-15)
+        assert np.linalg.eigvalsh(dense)[-1] <= iv.b
 
 
 class TestDenseOracle:
