@@ -23,6 +23,7 @@ from .krylov import (
     adaptive_quadform,
     desingularized_quadform,
     eds_poles,
+    group_size,
 )
 from .solver import PoleSolver
 from .sparse import DensityMatrix, SpectralInterval, dense_sym_eig, laplacian_interval
@@ -57,14 +58,20 @@ class NonConvergenceError(RuntimeError):
 
 
 class DenseProvider:
-    """Exact dense B for tests: quadratic forms and matvecs with no error."""
+    """Exact dense B for tests: quadratic forms and matvecs with no error,
+    for a vector or column-wise for an (n, k) block."""
+
+    group_size = 16
 
     def __init__(self, b: np.ndarray):
         self.b = np.asarray(b, dtype=np.float64)
         self.n = self.b.shape[0]
 
-    def quadform(self, x, tol_abs=None) -> float:
-        return float(x @ (self.b @ x))
+    def quadform(self, x, tol_abs=None):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            return float(x @ (self.b @ x))
+        return np.einsum("ij,ij->j", x, self.b @ x)
 
     def apply(self, x, tol_abs=None) -> np.ndarray:
         return self.b @ x
@@ -74,7 +81,9 @@ class KrylovEntropyProvider:
     """B = f(rho) accessed through the rational Krylov engine.
 
     Quadratic forms and matvecs run with implicit desingularization when the
-    matrix annihilates the ones vector (graph Laplacian densities).
+    matrix annihilates the ones vector (graph Laplacian densities). Both take
+    a vector or an (n, k) block; a block runs in lockstep groups of at most
+    ``group_size`` columns, with results bitwise those of one column at a time.
     """
 
     def __init__(
@@ -110,18 +119,23 @@ class KrylovEntropyProvider:
                 float(np.abs(self.density.matrix.matvec(ones)).max()) <= 1e-12
             )
         self.desingularize = desingularize
+        self.group_size = group_size(self.n)
         self.poly_iters = 0
         self.rational_iters = 0
 
-    def _account(self, res: QuadformResult):
-        self.poly_iters += res.poly_iters
-        self.rational_iters += res.rational_iters
-        if not res.converged:
-            raise NonConvergenceError(
-                f"quadratic form did not converge below {res.tol} in {res.dim} iterations"
-            )
+    def _account(self, results: list):
+        for res in results:
+            self.poly_iters += res.poly_iters
+            self.rational_iters += res.rational_iters
+        for res in results:
+            if not res.converged:
+                raise NonConvergenceError(
+                    f"quadratic form did not converge below {res.tol} in {res.dim} iterations"
+                )
 
-    def quadform(self, x, tol_abs=None) -> float:
+    def quadform(self, x, tol_abs=None):
+        """x^T f(rho) x for a vector, or an array of the column forms of an
+        (n, k) block; tol_abs may then hold one tolerance per column."""
         tol = self.quadform_tol if tol_abs is None else tol_abs
         if self.desingularize:
             res = desingularized_quadform(
@@ -134,27 +148,37 @@ class KrylovEntropyProvider:
                 self.op, x, self.fun, self.interval, tol,
                 pole_source=self.pole_source, stop=self.stop, m_max=self.m_max,
             )
+        if isinstance(res, QuadformResult):
+            self._account([res])
+            return res.value
         self._account(res)
-        return res.value
+        return np.array([r.value for r in res])
 
     def apply(self, x, tol_abs=None) -> np.ndarray:
+        """f(rho) x for a vector, or column-wise for an (n, k) block."""
         tol = self.funvec_tol if tol_abs is None else tol_abs
         x = np.asarray(x, dtype=np.float64)
-        if self.desingularize:
-            c = x - x.sum() / self.n
-            if np.linalg.norm(c) <= 1e-14 * np.linalg.norm(x):
-                return np.zeros_like(x)
-            res = adaptive_funvec(
-                self.op, c, self.fun, self.interval, tol,
+        block = x if x.ndim == 2 else x[:, None]
+        out = np.zeros(block.shape)
+        starts, cols = [], []
+        for j in range(block.shape[1]):
+            xj = np.ascontiguousarray(block[:, j])
+            if self.desingularize:
+                c = xj - xj.sum() / self.n
+                if np.linalg.norm(c) <= 1e-14 * np.linalg.norm(xj):
+                    continue
+                xj = c
+            starts.append(xj)
+            cols.append(j)
+        if starts:
+            results = adaptive_funvec(
+                self.op, np.column_stack(starts), self.fun, self.interval, tol,
                 pole_source=self.pole_source, stop=self.stop, m_max=self.m_max,
             )
-        else:
-            res = adaptive_funvec(
-                self.op, x, self.fun, self.interval, tol,
-                pole_source=self.pole_source, stop=self.stop, m_max=self.m_max,
-            )
-        self._account(res)
-        return res.vector
+            self._account(results)
+            for j, res in zip(cols, results):
+                out[:, j] = res.vector
+        return out if x.ndim == 2 else out[:, 0]
 
     @property
     def factorizations(self) -> int:
@@ -179,11 +203,38 @@ def probing_trace(
     """
     n = density.n
     sizes = coloring.class_sizes()
-    results = []
-    for ell in range(coloring.num_colors):
-        tol = eps_hat * sizes[ell] / n
-        results.append(provider.quadform(probing_vector_dense(coloring, ell), tol_abs=tol))
+    tols = [eps_hat * sizes[ell] / n for ell in range(coloring.num_colors)]
+    results = _quadforms(
+        provider, coloring.num_colors, lambda ell: probing_vector_dense(coloring, ell), tols
+    )
     return float(np.sum(results)), results
+
+
+def _blocks(provider, count: int) -> list:
+    """Index ranges 0..count-1 cut into blocks of provider.group_size."""
+    width = provider.group_size
+    return [range(lo, min(lo + width, count)) for lo in range(0, count, width)]
+
+
+def _quadforms(provider, count: int, vector, tol=None) -> list:
+    """[x_j^T B x_j for j < count] with x_j = vector(j), fed to the provider
+    one block of columns at a time; tol is None, a scalar or a list with
+    one tolerance per j."""
+    values = []
+    for idx in _blocks(provider, count):
+        block = np.column_stack([vector(j) for j in idx])
+        tols = [tol[j] for j in idx] if isinstance(tol, list) else tol
+        values.extend(provider.quadform(block, tol_abs=tols).tolist())
+    return values
+
+
+def _applies(provider, count: int, vector, tol=None) -> np.ndarray:
+    """The (n, count) block of B x_j with x_j = vector(j), fed to the
+    provider one block of columns at a time."""
+    return np.hstack([
+        provider.apply(np.column_stack([vector(j) for j in idx]), tol_abs=tol)
+        for idx in _blocks(provider, count)
+    ])
 
 
 def probing_error_identity_check(dense_a: np.ndarray, coloring: Coloring, fun: FunctionTriple) -> float:
@@ -505,19 +556,14 @@ def adaptive_hutchpp(
     round_idx = 0
     while True:
         round_idx += 1
-        cols = []
-        for _ in range(block):
-            x = gaussian_vector(seed, STREAM_OMEGA, omega_count, n)
-            omega_count += 1
-            tol = apply_tol(round_idx) if apply_tol is not None else None
-            cols.append(provider.apply(x, tol_abs=tol))
-        y = np.column_stack(cols)
+        first = omega_count
+        tol = apply_tol(round_idx) if apply_tol is not None else None
+        y = _applies(provider, block, lambda j: gaussian_vector(seed, STREAM_OMEGA, first + j, n), tol)
+        omega_count += block
         y = y - q @ (q.T @ y)
         q_new = _rank_revealing_orth(y)
-        round_forms = []
-        for i in range(q_new.shape[1]):
-            tol = quadform_tol("rank", round_idx, block) if quadform_tol is not None else None
-            round_forms.append(provider.quadform(q_new[:, i], tol_abs=tol))
+        tol = quadform_tol("rank", round_idx, block) if quadform_tol is not None else None
+        round_forms = _quadforms(provider, q_new.shape[1], lambda i: q_new[:, i], tol)
         t_low += float(np.sum(round_forms))
         captured.extend(round_forms)
         q = np.hstack([q, q_new])
@@ -545,16 +591,54 @@ def _hutchinson_tail(
     """Hutchinson quadratic forms x_j^T B x_j, j = 0, 1, ..., with x_j from
     (seed, STREAM_HUTCH, j) projected off range(q) when q is given, until
     the estimated tail bound holds. ``spent`` vectors of the budget
-    ``max_total`` are already used. Returns the list of forms."""
+    ``max_total`` are already used. Returns the list of forms.
+
+    The forms are computed in blocks of the samples the stopping rule takes
+    whatever their values (``_sure_samples``), then replayed through the
+    rule one at a time, so the samples are those of a one-at-a-time loop.
+    """
+    n = provider.n
+
+    def vector(j):
+        x = gaussian_vector(seed, STREAM_HUTCH, j, n)
+        return x if q is None else x - q @ (q.T @ x)
+
     samples: list = []
-    while len(samples) < max(MIN_HUTCH_SAMPLES, _required_hutch_samples(samples, eps_hat, delta)):
-        if spent + len(samples) >= max_total:
+    while _wants_sample(samples, eps_hat, delta):
+        room = max_total - spent - len(samples)
+        if room <= 0:
             raise NonConvergenceError(f"Hutchinson samples exceeded the vector budget {max_total}")
-        x = gaussian_vector(seed, STREAM_HUTCH, len(samples), provider.n)
-        if q is not None:
-            x = x - q @ (q.T @ x)
-        samples.append(provider.quadform(x, tol_abs=tol))
+        count = _sure_samples(samples, eps_hat, delta, min(provider.group_size, room))
+        first = len(samples)
+        for value in _quadforms(provider, count, lambda t: vector(first + t), tol):
+            if not _wants_sample(samples, eps_hat, delta):
+                break
+            samples.append(value)
     return samples
+
+
+def _wants_sample(samples, eps_hat, delta) -> bool:
+    """The Hutchinson stopping rule: True while more samples are needed."""
+    return len(samples) < max(MIN_HUTCH_SAMPLES, _required_hutch_samples(samples, eps_hat, delta))
+
+
+def _sure_samples(samples, eps_hat, delta, limit: int) -> int:
+    """How many more samples, from 1 (the rule wants one now) up to limit,
+    the stopping rule takes whatever their values.
+
+    Samples at the current mean add nothing to the sum of squared
+    deviations, the least any values can add, so the count required after
+    t more samples is at least the count computed with t copies of the
+    mean; one sample of slack covers rounding.
+    """
+    mean = float(np.mean(samples)) if samples else 0.0
+    t = 1
+    while t < limit:
+        floor = _required_hutch_samples(samples + [mean] * t, eps_hat, delta) - 1
+        if len(samples) + t >= max(MIN_HUTCH_SAMPLES, floor):
+            break
+        t += 1
+    return t
 
 
 def entropy_hutchpp(
@@ -579,10 +663,7 @@ def entropy_hutchpp(
         density, ENTROPY, interval=interval, operator=operator, stop=stop
     )
     pilot_tol = 0.05 * max(np.log(max(n, 2)), 1.0)
-    pilot = [
-        provider.quadform(gaussian_vector(seed, STREAM_PILOT, j, n), tol_abs=pilot_tol)
-        for j in range(10)
-    ]
+    pilot = _quadforms(provider, 10, lambda j: gaussian_vector(seed, STREAM_PILOT, j, n), pilot_tol)
     pre = max(float(np.mean(pilot)), 1e-12)
     eps_est = eps_rel * pre / 2
     eps_kry = eps_rel * pre / 2
@@ -630,16 +711,12 @@ def entropy_hutchpp(
 
 def _fixed_rank_hutchpp(provider, eps_hat, delta, seed, quadform_tol, apply_tol):
     n = provider.n
-    omega = np.column_stack(
-        [gaussian_vector(seed, STREAM_OMEGA, j, n) for j in range(MIN_DEFLATION)]
-    )
-    y = np.column_stack(
-        [provider.apply(omega[:, j], tol_abs=apply_tol(1)) for j in range(MIN_DEFLATION)]
+    y = _applies(
+        provider, MIN_DEFLATION, lambda j: gaussian_vector(seed, STREAM_OMEGA, j, n), apply_tol(1)
     )
     q = _rank_revealing_orth(y)
     t_low = sum(
-        provider.quadform(q[:, i], tol_abs=quadform_tol("rank", 1, MIN_DEFLATION))
-        for i in range(q.shape[1])
+        _quadforms(provider, q.shape[1], lambda i: q[:, i], quadform_tol("rank", 1, MIN_DEFLATION))
     )
     samples = _hutchinson_tail(
         provider, eps_hat, delta, seed, quadform_tol("hutch", 0, 1), q, MIN_DEFLATION

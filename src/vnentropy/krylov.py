@@ -7,7 +7,9 @@ and the a posteriori error bounds are available after every iteration.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +19,7 @@ from .solver import PoleSolver
 from .sparse import DensityMatrix, SparseSymMatrix, SpectralInterval, matvec
 
 INF = np.inf
+TINY = np.finfo(float).tiny
 
 BREAKDOWN_TOL = 1e-14
 SWAP_RESIDUAL_TOL = 1e-10
@@ -25,6 +28,12 @@ RITZ_CLUSTER_TOL = 1e-14
 DEFAULT_M_MAX = 150
 SWITCH_WINDOW = 3          # paper's ell
 SWITCH_FACTOR = 0.75       # paper's c
+BASIS_CAP = 18             # basis columns allocated up front; doubled as needed
+# One byte budget for a lockstep group: the start bases of its vectors,
+# n x (BASIS_CAP + 1) floats each, fit in it, and so do the three bound
+# temporaries of a row block, TEMP_BYTES each.
+GROUP_BYTES = 640 * 1024
+TEMP_BYTES = GROUP_BYTES // 3
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,8 @@ class FunctionTriple:
 def _xlogx(x):
     """x log x with 0 log 0 = 0; undefined (NaN) for negative arguments."""
     x = np.asarray(x, dtype=np.float64)
+    if x.size and x.min() > 0:
+        return x * np.log(x)
     out = np.where(x < 0, np.nan, 0.0)
     pos = x > 0
     out[pos] = x[pos] * np.log(x[pos])
@@ -47,14 +58,14 @@ def _xlogx(x):
 
 XLOGX = FunctionTriple(
     f=_xlogx,
-    df=lambda x: np.log(np.maximum(x, np.finfo(float).tiny)) + 1.0,
-    d2f=lambda x: 1.0 / np.maximum(x, np.finfo(float).tiny),
+    df=lambda x: np.log(np.maximum(x, TINY)) + 1.0,
+    d2f=lambda x: 1.0 / np.maximum(x, TINY),
 )
 
 ENTROPY = FunctionTriple(
     f=lambda x: -_xlogx(x),
-    df=lambda x: -(np.log(np.maximum(x, np.finfo(float).tiny)) + 1.0),
-    d2f=lambda x: -1.0 / np.maximum(x, np.finfo(float).tiny),
+    df=lambda x: -(np.log(np.maximum(x, TINY)) + 1.0),
+    d2f=lambda x: -1.0 / np.maximum(x, TINY),
 )
 
 
@@ -91,6 +102,8 @@ def eds_poles(interval: SpectralInterval, m: int) -> PoleSequence:
     a, b = interval.a, interval.b
     if a <= 0:
         raise ValueError("interval must be positive; desingularize first")
+    if b <= a:
+        raise ValueError(f"interval [{a}, {b}] is empty or reversed")
     kappa = b / a
     w = 2.0 * kappa - 1.0
     mu = 1.0 / (w + np.sqrt(w * w - 1.0))
@@ -152,7 +165,7 @@ class RationalArnoldiDecomposition:
         self.b_norm = float(np.linalg.norm(b))
         if self.b_norm == 0:
             raise ValueError("start vector is zero")
-        cap = 18
+        cap = BASIS_CAP
         self.V = np.zeros((n, cap + 1))
         self.H = np.zeros((cap + 1, cap))
         self.K = np.zeros((cap + 1, cap))
@@ -318,16 +331,43 @@ class RationalArnoldiDecomposition:
         alpha = h_{m+1}^T K_m^{-1} U, beta = U^T e_1 in the notation of the
         error kernel g_m. Computed once per iteration (read-only arrays).
         """
-        if self._spectrum is not None:
-            return self._spectrum
-        a_m, last, m = self.projected()
-        theta, u = np.linalg.eigh(0.5 * (a_m + a_m.T))
-        alpha = np.linalg.solve(self.K[:m, :m].T, last) @ u
-        beta = u[0, :].copy()
-        for arr in (theta, alpha, beta):
-            arr.flags.writeable = False
-        self._spectrum = (theta, alpha, beta, m)
+        if self._spectrum is None:
+            group_spectrum([self])
         return self._spectrum
+
+
+def group_spectrum(decomps):
+    """Fill the spectrum() cache of decompositions that share eval_dim m.
+
+    One stacked eigh covers the (k, m, m) symmetrized projections, and one
+    stacked solve with K_m^T the members that consumed a finite pole. Before
+    the first finite pole K_m = I_m exactly, so A_m = H_m and
+    alpha = h_{m+1}^T U need no solve. Stacked LAPACK calls give every member
+    the bits of a call on it alone.
+    """
+    todo = [d for d in decomps if d._spectrum is None]
+    if not todo:
+        return
+    m = todo[0].eval_dim
+    for d in todo:
+        if d.eval_dim != m:
+            raise ValueError("decompositions in a group must share eval_dim")
+        if not d.exhausted and d.poles[-1] != INF:
+            raise RuntimeError("last pole must be infinity (swap first)")
+    a_m = np.array([d.H[:m, :m] for d in todo])
+    last = np.array([d.H[m, :m] for d in todo])
+    rational = [i for i, d in enumerate(todo) if d.rational_solves]
+    if rational:
+        k_t = np.array([todo[i].K[:m, :m].T for i in rational])
+        a_m[rational] = np.linalg.solve(k_t, a_m[rational].transpose(0, 2, 1)).transpose(0, 2, 1)
+        last[rational] = np.linalg.solve(k_t, last[rational][:, :, None])[:, :, 0]
+    theta, u = np.linalg.eigh(0.5 * (a_m + a_m.transpose(0, 2, 1)))
+    alpha = np.matmul(last[:, None, :], u)[:, 0, :]
+    beta = u[:, 0, :]
+    for arr in (theta, alpha, beta):
+        arr.flags.writeable = False
+    for i, d in enumerate(todo):
+        d._spectrum = (theta[i], alpha[i], beta[i], m)
 
 
 def quadform_value(decomp: RationalArnoldiDecomposition, fun: FunctionTriple) -> float:
@@ -378,37 +418,87 @@ def _base_mesh(a: float, b: float, grid: int, fun: FunctionTriple):
 
 
 def _bound_mesh(interval: SpectralInterval, theta, grid: int, fun: FunctionTriple):
-    """(z, f(z)): the cached base mesh plus the Ritz values inside [a, b].
-
-    Only min/max over the mesh are taken, so order and duplicates are moot.
-    """
+    """(z, f(z)) as (k, N + m) arrays: the cached sorted base mesh of N
+    points, then each row's m Ritz values. A Ritz value outside [a, b] is
+    replaced by a, which is the first mesh point already, so the min/max
+    over a row do not change."""
     a, b = interval.a, interval.b
-    mesh, fz = _base_mesh(a, b, grid, fun)
-    inside = theta[(theta >= a) & (theta <= b)]
-    f_inside = np.asarray(fun.f(inside), dtype=np.float64)
-    return np.concatenate([mesh, inside]), np.concatenate([fz, f_inside])
+    mesh, f_mesh = _base_mesh(a, b, grid, fun)
+    k, m = theta.shape
+    z = np.empty((k, mesh.size + m))
+    fz = np.empty((k, mesh.size + m))
+    z[:, : mesh.size] = mesh
+    fz[:, : mesh.size] = f_mesh
+    z[:, mesh.size :] = theta
+    outside = ~((theta >= a) & (theta <= b))
+    any_outside = outside.any()
+    if any_outside:
+        z[:, mesh.size :][outside] = a
+    fz[:, mesh.size :] = fun.f(z[:, mesh.size :])
+    if any_outside:
+        fz[:, mesh.size :][outside] = f_mesh[0]
+    return z, fz
 
 
-def _divided_differences(z, fz, theta, fth, b_scale: float):
-    """(m, N) arrays dz = z - theta_j (1 where near) and the divided
-    differences (f(z) - f(theta_j)) / dz, plus the mask of points within
-    1e-8 b of a Ritz value, where the caller substitutes the limit."""
-    dz = np.subtract(z[None, :], theta[:, None])
-    near = np.abs(dz) <= 1e-8 * max(b_scale, 1e-300)
-    if not near.any():
-        near = None
-    else:
-        dz[near] = 1.0
-    ratio = np.subtract(fz[None, :], fth[:, None])
+_WINDOW = np.array([-2.0, 2.0])[:, None, None]
+
+
+def _near_points(z, theta, tol: float):
+    """Indices (j, i, p) of the points z[i, p] with |z[i, p] - theta[j, i]|
+    <= tol, for z from _bound_mesh and theta (m, k). The sorted base mesh
+    is searched around each theta, the m Ritz columns are compared whole."""
+    m = theta.shape[0]
+    n_mesh = z.shape[1] - m
+    j, i, p = np.nonzero(np.abs(z[None, :, n_mesh:] - theta[:, :, None]) <= tol)
+    p += n_mesh
+    mesh = z[0, :n_mesh]
+    lo, hi = np.searchsorted(mesh, theta + _WINDOW * tol)
+    hits = hi > lo
+    for jj, ii in zip(*np.nonzero(hits)) if hits.any() else ():
+        cand = np.arange(lo[jj, ii], hi[jj, ii])
+        cand = cand[np.abs(mesh[cand] - theta[jj, ii]) <= tol]
+        j, i, p = (np.concatenate([j, np.full(cand.size, jj)]),
+                   np.concatenate([i, np.full(cand.size, ii)]),
+                   np.concatenate([p, cand]))
+    return j, i, p
+
+
+def _work(scratch, shape, count: int):
+    """``count`` float work arrays of the given shape, cut from one buffer
+    in the ``scratch`` dict of an adaptive run, or allocated when scratch
+    is None.
+
+    Fresh (m, rows, N) temporaries above malloc's mmap threshold would be
+    mapped and page-faulted in on every bound evaluation; a run's buffer
+    grows (at least doubling) to the largest request and is reused by each
+    of its evaluations.
+    """
+    size = math.prod(shape)
+    if scratch is None:
+        return np.empty((count,) + shape)
+    buf = scratch.get("work")
+    if buf is None or buf.size < count * size:
+        buf = scratch["work"] = np.empty(count * size if buf is None else max(count * size, 2 * buf.size))
+    return buf[: count * size].reshape((count,) + shape)
+
+
+def _divided_differences(z, fz, theta, fth, near, dz, ratio):
+    """Fill dz = z - theta_j, 1 at the near points (where the caller
+    substitutes the limit), and the divided differences
+    ratio = (f(z) - f(theta_j)) / dz, both (m, rows, N). theta and fth are
+    (m, rows), z and fz are (rows, N)."""
+    np.subtract(z[None, :, :], theta[:, :, None], out=dz)
+    dz[near] = 1.0
+    np.subtract(fz[None, :, :], fth[:, :, None], out=ratio)
     ratio /= dz
-    return dz, ratio, near
 
 
 def _pairwise_sum(t):
-    """Column sums of the (m, N) array t, added in the order numpy's
-    pairwise summation adds a contiguous row of m (eight interleaved partial
-    sums from m = 8, halves above 128), so the sums match an (N, m) row sum
-    bitwise while each step is one vector operation over N."""
+    """Sums over the first axis of t, added in the order numpy's pairwise
+    summation adds a contiguous row of m (eight interleaved partial sums
+    from m = 8, halves above 128), so the sums match a row sum bitwise while
+    each step is one vector operation over the remaining axes. The first
+    eight rows of t serve as the partial sums and are overwritten."""
     m = t.shape[0]
     if m < 8:
         return t.sum(axis=0)
@@ -416,7 +506,7 @@ def _pairwise_sum(t):
         half = m // 2 - (m // 2) % 8
         return _pairwise_sum(t[:half]) + _pairwise_sum(t[half:])
     body = m - m % 8
-    r = t[:8].copy()
+    r = t[:8]
     for i in range(8, body, 8):
         r += t[i : i + 8]
     res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
@@ -425,77 +515,142 @@ def _pairwise_sum(t):
     return res
 
 
-def gm_kernel(z, fz, theta, alpha, beta, fun: FunctionTriple, b_scale: float, gammas=None):
-    """Evaluate g_m on the points z, given fz = f(z) (second-order
-    quadratic-form kernel)."""
-    theta = np.maximum(theta, np.finfo(float).tiny)
-    fth = np.asarray(fun.f(theta), dtype=np.float64)
-    dfth = np.asarray(fun.df(theta), dtype=np.float64)
-    d2fth = np.asarray(fun.d2f(theta), dtype=np.float64)
+@contextlib.contextmanager
+def _row_buffer(width: int):
+    """numpy's ufunc buffer cut to at most ``width`` elements, the length of
+    a bound mesh row.
+
+    With the default 8192 elements, numpy's iterator copies an operand that
+    broadcasts one value per row into its buffer whenever rows are shorter
+    than the buffer, which makes the bound kernels' per-row operations
+    about three times slower. Elementwise results and the reductions the
+    adaptive loop makes do not depend on the buffer size.
+    """
+    old = np.setbufsize(max(16, min(8192, width - width % 16)))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+def _spectra(decomps):
+    """Stacked (theta, alpha, beta), each (k, m), of decompositions sharing m."""
+    spectra = [d.spectrum() for d in decomps]
+    if len(spectra) == 1:
+        return tuple(s[None] for s in spectra[0][:3])
+    return tuple(np.array([s[i] for s in spectra]) for i in range(3))
+
+
+def _row_blocks(near, k: int, m: int, width: int):
+    """(rows, near) pairs: row slices of k spectra whose (m, rows, width)
+    temporaries fit in TEMP_BYTES, at least one row each, with the near
+    points of _near_points that fall in them, rows renumbered."""
+    step = max(1, TEMP_BYTES // (8 * m * width))
+    if step >= k:
+        return [(slice(0, k), near)]
+    j, i, p = near
+    blocks = []
+    for lo in range(0, k, step):
+        sel = (i >= lo) & (i < lo + step)
+        blocks.append((slice(lo, min(lo + step, k)), (j[sel], i[sel] - lo, p[sel])))
+    return blocks
+
+
+def gm_kernel(z, fz, theta, alpha, beta, fun: FunctionTriple, b_scale: float, degraded=None, scratch=None):
+    """Evaluate g_m (second-order quadratic-form kernel) for k spectra at
+    once: theta, alpha, beta are (k, m), z and fz = f(z) are (k, N) from
+    _bound_mesh, and the result is (k, N). Rows flagged in ``degraded`` drop
+    the gamma coupling terms; ``scratch`` is as in aposteriori_bounds. Each
+    row is bitwise the kernel of its spectrum alone."""
+    theta = np.maximum(theta, TINY)
+    fth = np.asarray(fun.f(theta), dtype=np.float64).T
+    dfth = np.asarray(fun.df(theta), dtype=np.float64).T
+    d2fth = np.asarray(fun.d2f(theta), dtype=np.float64).T
+    k, m = theta.shape
     ab = alpha * beta
-    if gammas is None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff = theta[:, None] - theta[None, :]
-            inv = np.where(np.eye(theta.size, dtype=bool), 0.0, 1.0 / diff)
-        gammas = (ab[None, :] * inv).sum(axis=1)
-    dz, ratio1, near = _divided_differences(z, fz, theta, fth, b_scale)
-    term = np.subtract(ratio1, dfth[:, None])
-    term /= dz
-    term *= (ab**2)[:, None]
-    ratio1 *= (2.0 * (ab * gammas))[:, None]
-    term += ratio1
-    if near is not None:
-        limit = 0.5 * ab**2 * d2fth + 2.0 * alpha * beta * gammas * dfth
-        np.copyto(term, limit[:, None], where=near)
-    return _pairwise_sum(term)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / (theta[:, :, None] - theta[:, None, :])
+    inv.reshape(k, m * m)[:, :: m + 1] = 0.0
+    gammas = (ab[:, None, :] * inv).sum(axis=2)
+    if degraded is not None:
+        gammas[degraded] = 0.0
+    theta, alpha, beta, ab, gammas = theta.T, alpha.T, beta.T, ab.T, gammas.T
+    ab2 = ab**2
+    coupling = 2.0 * (ab * gammas)
+    limit = 0.5 * ab2 * d2fth + 2.0 * alpha * beta * gammas * dfth
+    near = _near_points(z, theta, 1e-8 * max(b_scale, 1e-300))
+    g = np.empty(z.shape)
+    for r, near_r in _row_blocks(near, k, m, z.shape[1]):
+        dz, ratio, term = _work(scratch, (m, r.stop - r.start, z.shape[1]), 3)
+        _divided_differences(z[r], fz[r], theta[:, r], fth[:, r], near_r, dz, ratio)
+        np.subtract(ratio, dfth[:, r, None], out=term)
+        term /= dz
+        term *= ab2[:, r, None]
+        ratio *= coupling[:, r, None]
+        term += ratio
+        term[near_r] = limit[:, r][near_r[:2]]
+        g[r] = _pairwise_sum(term)
+    return g
+
+
+def _as_group(decomps):
+    """(list of decompositions, whether a single one was given)."""
+    if isinstance(decomps, (list, tuple)):
+        return list(decomps), False
+    return [decomps], True
 
 
 def aposteriori_bounds(
-    decomp: RationalArnoldiDecomposition,
-    fun: FunctionTriple,
-    interval: SpectralInterval,
-    grid: int = DEFAULT_MESH,
+    decomps, fun: FunctionTriple, interval: SpectralInterval, grid: int = DEFAULT_MESH, scratch=None
 ):
     """Lower/upper bounds ||b||^2 (min, max) |g_m| over the spectral interval.
 
-    Clustered Ritz values (gap <= 1e-14 b) make the gamma coupling terms
-    ill-defined; they are then dropped and the lower bound degrades to 0.
+    Takes one decomposition and returns floats, or a list of decompositions
+    sharing m and returns arrays. Clustered Ritz values (gap <= 1e-14 b)
+    make the gamma coupling terms ill-defined; they are then dropped for
+    that decomposition and its lower bound degrades to 0. ``scratch`` is a
+    dict whose work arrays successive calls reuse, or None.
     """
-    theta, alpha, beta, _ = decomp.spectrum()
-    degraded = False
-    if theta.size > 1 and np.diff(np.sort(theta)).min() <= RITZ_CLUSTER_TOL * interval.b:
-        degraded = True
-        gammas = np.zeros_like(theta)
-    else:
-        gammas = None
-    mesh, fz = _bound_mesh(interval, theta, grid, fun)
-    g = gm_kernel(mesh, fz, theta, alpha, beta, fun, interval.b, gammas=gammas)
-    absg = np.abs(g)
-    lower = 0.0 if degraded else float(decomp.b_norm**2 * absg.min())
-    upper = float(decomp.b_norm**2 * absg.max())
-    return lower, upper
+    decomps, single = _as_group(decomps)
+    theta, alpha, beta = _spectra(decomps)
+    gaps = np.diff(np.sort(theta, axis=1), axis=1)
+    degraded = gaps.min(axis=1, initial=np.inf) <= RITZ_CLUSTER_TOL * interval.b
+    z, fz = _bound_mesh(interval, theta, grid, fun)
+    absg = np.abs(gm_kernel(z, fz, theta, alpha, beta, fun, interval.b, degraded, scratch))
+    scale = np.array([d.b_norm**2 for d in decomps])
+    lower = np.where(degraded, 0.0, scale * absg.min(axis=1))
+    upper = scale * absg.max(axis=1)
+    return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 
 
 def funvec_aposteriori(
-    decomp: RationalArnoldiDecomposition,
-    fun: FunctionTriple,
-    interval: SpectralInterval,
-    grid: int = DEFAULT_MESH,
+    decomps, fun: FunctionTriple, interval: SpectralInterval, grid: int = DEFAULT_MESH, scratch=None
 ):
     """First-order bounds ||b|| (min, max) |h_m| for the f(A) b error, with
-    h_m(z) = sum_j alpha_j beta_j (f(z) - f(theta_j)) / (z - theta_j)."""
-    theta, alpha, beta, _ = decomp.spectrum()
-    theta_safe = np.maximum(theta, np.finfo(float).tiny)
-    mesh, fz = _bound_mesh(interval, theta, grid, fun)
-    fth = np.asarray(fun.f(theta_safe), dtype=np.float64)
-    _, ratio, near = _divided_differences(mesh, fz, theta_safe, fth, interval.b)
-    if near is not None:
-        dfth = np.asarray(fun.df(theta_safe), dtype=np.float64)
-        np.copyto(ratio, dfth[:, None], where=near)
-    ratio *= (alpha * beta)[:, None]
-    h = _pairwise_sum(ratio)
+    h_m(z) = sum_j alpha_j beta_j (f(z) - f(theta_j)) / (z - theta_j).
+    One decomposition gives floats, a list sharing m gives arrays; scratch
+    is as in aposteriori_bounds."""
+    decomps, single = _as_group(decomps)
+    theta, alpha, beta = _spectra(decomps)
+    k, m = theta.shape
+    z, fz = _bound_mesh(interval, theta, grid, fun)
+    theta = np.maximum(theta, TINY)
+    fth = np.asarray(fun.f(theta), dtype=np.float64).T
+    dfth = np.asarray(fun.df(theta), dtype=np.float64).T
+    ab = (alpha * beta).T
+    theta = theta.T
+    near = _near_points(z, theta, 1e-8 * max(interval.b, 1e-300))
+    h = np.empty(z.shape)
+    for r, near_r in _row_blocks(near, k, m, z.shape[1]):
+        dz, ratio = _work(scratch, (m, r.stop - r.start, z.shape[1]), 2)
+        _divided_differences(z[r], fz[r], theta[:, r], fth[:, r], near_r, dz, ratio)
+        ratio[near_r] = dfth[:, r][near_r[:2]]
+        ratio *= ab[:, r, None]
+        h[r] = _pairwise_sum(ratio)
     absh = np.abs(h)
-    return float(decomp.b_norm * absh.min()), float(decomp.b_norm * absh.max())
+    b_norm = np.array([d.b_norm for d in decomps])
+    lower, upper = b_norm * absh.min(axis=1), b_norm * absh.max(axis=1)
+    return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 
 
 def gm_estimate(lower: float, upper: float) -> float:
@@ -523,81 +678,125 @@ class QuadformResult:
     vector: np.ndarray | None = None
 
 
+def group_size(n: int) -> int:
+    """Start vectors advanced in lockstep: as many n x (BASIS_CAP + 1)
+    start bases as fit in GROUP_BYTES, at least one."""
+    return max(1, GROUP_BYTES // (8 * n * (BASIS_CAP + 1)))
+
+
+def _columns(b):
+    """(contiguous start vectors, whether b was a single vector) of a vector
+    or an (n, k) block."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim == 1:
+        return [b], True
+    return [np.ascontiguousarray(b[:, j]) for j in range(b.shape[1])], False
+
+
+def _tolerances(tol_abs, k: int) -> list:
+    """One float tolerance per start vector from a scalar or a sequence."""
+    return [float(t) for t in np.broadcast_to(np.asarray(tol_abs, dtype=np.float64), (k,))]
+
+
+class _Run:
+    """One start vector's state in the adaptive loop."""
+
+    def __init__(self, operator, b, tol: float):
+        self.decomp = RationalArnoldiDecomposition(operator, b)
+        self.tol = tol
+        self.history: list = []
+        self.switched_at = -1
+        self.rational_index = 0
+        self.trace: list = []
+        self.result = None
+
+    def finish(self, fun, converged, lower, upper, est, want_vector):
+        d = self.decomp
+        self.result = QuadformResult(
+            value=quadform_value(d, fun),
+            poly_iters=d.poly_matvecs - d.rational_solves,
+            rational_iters=d.rational_solves,
+            bound_lower=lower,
+            bound_upper=upper,
+            estimate=est,
+            converged=converged,
+            tol=self.tol,
+            dim=d.eval_dim,
+            switched_at=self.switched_at,
+            trace=self.trace,
+        )
+        if want_vector:
+            self.result.vector = funvec_value(d, fun)
+        self.decomp = None
+
+
 def _run_adaptive(
     operator,
-    b,
+    vectors: list,
     fun: FunctionTriple,
     interval: SpectralInterval,
-    tol_abs: float,
+    tols: list,
     pole_source: PoleSequence | None,
     stop: str,
     m_max: int,
     want_vector: bool,
     keep_trace: bool,
     grid: int,
-):
-    if tol_abs <= 0:
+) -> list:
+    """The adaptive loop, one QuadformResult per start vector.
+
+    Vectors run in lockstep groups of at most group_size(n): every member
+    takes its own steps, but the group shares m, so one stacked spectrum and
+    one stacked bound evaluation serve all members per iteration. A member
+    leaves the group when it stops, and each member's decisions and result
+    are bitwise those of a run on its own.
+    """
+    if min(tols, default=1.0) <= 0:
         raise ValueError("tol_abs must be positive")
     if stop not in ("bound", "estimate"):
         raise ValueError(f"unknown stop criterion {stop!r}")
-    decomp = RationalArnoldiDecomposition(operator, b)
     bound_fn = funvec_aposteriori if want_vector else aposteriori_bounds
-    history = []
-    switched_at = -1
-    rational_index = 0
-    trace = []
-    lower = upper = est = np.nan
-    while True:
-        lower, upper = bound_fn(decomp, fun, interval, grid=grid)
-        est = gm_estimate(lower, upper)
-        stat = upper if stop == "bound" else est
-        history.append(stat)
-        m = decomp.eval_dim
-        if keep_trace:
-            pole = decomp.poles[-1] if decomp.poles else INF
-            trace.append((m, pole, lower, upper, est, quadform_value(decomp, fun)))
-        if decomp.exhausted:
-            converged = True
-            break
-        if m >= 2 and stat <= tol_abs:
-            converged = True
-            break
-        if m >= m_max:
-            converged = False
-            break
-        in_poly = switched_at < 0
-        if (
-            in_poly
-            and pole_source is not None
-            and len(history) >= SWITCH_WINDOW + 2
-            and history[-1] >= SWITCH_FACTOR**SWITCH_WINDOW * history[-SWITCH_WINDOW - 2]
-        ):
-            switched_at = m
-        if switched_at < 0 or pole_source is None:
-            next_pole = INF
-        else:
-            if rational_index >= len(pole_source):
-                next_pole = pole_source[rational_index % len(pole_source)]
-            else:
-                next_pole = pole_source[rational_index]
-            rational_index += 1
-        decomp.step(next_pole)
-    result = QuadformResult(
-        value=quadform_value(decomp, fun),
-        poly_iters=decomp.poly_matvecs - decomp.rational_solves,
-        rational_iters=decomp.rational_solves,
-        bound_lower=lower,
-        bound_upper=upper,
-        estimate=est,
-        converged=converged,
-        tol=tol_abs,
-        dim=decomp.eval_dim,
-        switched_at=switched_at,
-        trace=trace,
-    )
-    if want_vector:
-        result.vector = funvec_value(decomp, fun)
-    return result
+    width = group_size(operator.n)
+    scratch: dict = {}
+    runs = []
+    with _row_buffer(grid):
+        for lo in range(0, len(vectors), width):
+            live = [_Run(operator, b, tol) for b, tol in zip(vectors[lo : lo + width], tols[lo : lo + width])]
+            runs += live
+            while live:
+                decomps = [r.decomp for r in live]
+                group_spectrum(decomps)
+                lowers, uppers = bound_fn(decomps, fun, interval, grid=grid, scratch=scratch)
+                m = decomps[0].eval_dim
+                stepping = []
+                for r, lower, upper in zip(live, lowers.tolist(), uppers.tolist()):
+                    d = r.decomp
+                    est = gm_estimate(lower, upper)
+                    stat = upper if stop == "bound" else est
+                    r.history.append(stat)
+                    if keep_trace:
+                        r.trace.append((m, d.poles[-1], lower, upper, est, quadform_value(d, fun)))
+                    converged = d.exhausted or (m >= 2 and stat <= r.tol)
+                    if converged or m >= m_max:
+                        r.finish(fun, converged, lower, upper, est, want_vector)
+                        continue
+                    h = r.history
+                    if (
+                        r.switched_at < 0
+                        and pole_source is not None
+                        and len(h) >= SWITCH_WINDOW + 2
+                        and h[-1] >= SWITCH_FACTOR**SWITCH_WINDOW * h[-SWITCH_WINDOW - 2]
+                    ):
+                        r.switched_at = m
+                    if r.switched_at < 0 or pole_source is None:
+                        next_pole = INF
+                    else:
+                        next_pole = pole_source[r.rational_index % len(pole_source)]
+                        r.rational_index += 1
+                    d.step(next_pole)
+                    stepping.append(r)
+                live = stepping
+    return [r.result for r in runs]
 
 
 def trace_to_csv(result: QuadformResult) -> str:
@@ -615,21 +814,27 @@ def adaptive_quadform(
     b,
     fun: FunctionTriple,
     interval: SpectralInterval,
-    tol_abs: float,
+    tol_abs,
     pole_source: PoleSequence | None = None,
     stop: str = "estimate",
     m_max: int = DEFAULT_M_MAX,
     keep_trace: bool = False,
     grid: int = DEFAULT_MESH,
-) -> QuadformResult:
+):
     """b^T f(A) b with polynomial iterations switching to the pole source
     when the error reduction stalls (est_k / est_{k-4} >= 0.75^3), stopping
     when the chosen statistic (upper bound or geometric-mean estimate) falls
-    below tol_abs."""
-    return _run_adaptive(
-        operator, b, fun, interval, tol_abs, pole_source, stop, m_max,
-        want_vector=False, keep_trace=keep_trace, grid=grid,
+    below tol_abs.
+
+    b may be an (n, k) block, with tol_abs a scalar or one per column: the
+    k forms then run in lockstep and a list of k results is returned.
+    """
+    vectors, single = _columns(b)
+    results = _run_adaptive(
+        operator, vectors, fun, interval, _tolerances(tol_abs, len(vectors)), pole_source,
+        stop, m_max, want_vector=False, keep_trace=keep_trace, grid=grid,
     )
+    return results[0] if single else results
 
 
 def adaptive_funvec(
@@ -637,17 +842,20 @@ def adaptive_funvec(
     b,
     fun: FunctionTriple,
     interval: SpectralInterval,
-    tol_abs: float,
+    tol_abs,
     pole_source: PoleSequence | None = None,
     stop: str = "estimate",
     m_max: int = DEFAULT_M_MAX,
     grid: int = DEFAULT_MESH,
-) -> QuadformResult:
-    """f(A) b to absolute 2-norm tolerance tol_abs, same pole management."""
-    return _run_adaptive(
-        operator, b, fun, interval, tol_abs, pole_source, stop, m_max,
-        want_vector=True, keep_trace=False, grid=grid,
+):
+    """f(A) b to absolute 2-norm tolerance tol_abs, same pole management;
+    an (n, k) block gives a list of k results."""
+    vectors, single = _columns(b)
+    results = _run_adaptive(
+        operator, vectors, fun, interval, _tolerances(tol_abs, len(vectors)), pole_source,
+        stop, m_max, want_vector=True, keep_trace=False, grid=grid,
     )
+    return results[0] if single else results
 
 
 def desingularized_quadform(
@@ -655,38 +863,45 @@ def desingularized_quadform(
     b,
     fun: FunctionTriple,
     interval: SpectralInterval,
-    tol_abs: float,
+    tol_abs,
     pole_source: PoleSequence | None = None,
     stop: str = "estimate",
     m_max: int = DEFAULT_M_MAX,
     operator: ShiftedOperator | None = None,
     grid: int = DEFAULT_MESH,
-) -> QuadformResult:
+):
     """b^T f(rho) b for a graph-Laplacian density matrix via implicit
     desingularization: the start vector c = b - (1^T b / n) 1 is orthogonal
     to the kernel, so convergence is governed by [lambda_2, lambda_n];
-    the result is recovered through f(rho) 1 = f(0) 1."""
-    b = np.asarray(b, dtype=np.float64)
+    the result is recovered through f(rho) 1 = f(0) 1. An (n, k) block
+    gives a list of k results, as in adaptive_quadform."""
+    vectors, single = _columns(b)
+    tols = _tolerances(tol_abs, len(vectors))
     n = density.n
-    mean = b.sum() / n
-    c = b - mean
     op = operator if operator is not None else ShiftedOperator(density.matrix)
     f0 = float(np.asarray(fun.f(np.array([0.0])))[0])
-    correction = f0 * b.sum() ** 2 / n
-    if np.linalg.norm(c) <= 1e-14 * np.linalg.norm(b):
-        return QuadformResult(
-            value=f0 * float(b @ b),
-            poly_iters=0,
-            rational_iters=0,
-            bound_lower=0.0,
-            bound_upper=0.0,
-            estimate=0.0,
-            converged=True,
-            tol=tol_abs,
-        )
-    result = _run_adaptive(
-        op, c, fun, interval, tol_abs, pole_source, stop, m_max,
-        want_vector=False, keep_trace=False, grid=grid,
+    results = [None] * len(vectors)
+    todo = []
+    for j, bj in enumerate(vectors):
+        c = bj - bj.sum() / n
+        if np.linalg.norm(c) <= 1e-14 * np.linalg.norm(bj):
+            results[j] = QuadformResult(
+                value=f0 * float(bj @ bj),
+                poly_iters=0,
+                rational_iters=0,
+                bound_lower=0.0,
+                bound_upper=0.0,
+                estimate=0.0,
+                converged=True,
+                tol=tols[j],
+            )
+        else:
+            todo.append((j, c))
+    runs = _run_adaptive(
+        op, [c for _, c in todo], fun, interval, [tols[j] for j, _ in todo], pole_source,
+        stop, m_max, want_vector=False, keep_trace=False, grid=grid,
     )
-    result.value += correction
-    return result
+    for (j, _), res in zip(todo, runs):
+        res.value += f0 * vectors[j].sum() ** 2 / n
+        results[j] = res
+    return results[0] if single else results

@@ -68,6 +68,11 @@ class TestEdsPoles:
         with pytest.raises(ValueError):
             eds_poles(SpectralInterval(0.0, 1.0), 5)
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0)])
+    def test_rejects_empty_or_reversed_interval(self, a, b):
+        with pytest.raises(ValueError, match="empty or reversed"):
+            eds_poles(SpectralInterval(a, b), 3)
+
     def test_zero_pole_rejected_in_sequence(self):
         with pytest.raises(ValueError):
             PoleSequence(poles=(0.0,))
@@ -373,6 +378,21 @@ class TestBoundsAgainstReference:
             a_m, _, m = d.projected()
             assert m == d.spectrum()[3]
             assert np.allclose(d.spectrum()[0], np.linalg.eigvalsh(0.5 * (a_m + a_m.T)))
+
+    def test_polynomial_spectrum_skips_identity_solves_bitwise(self, rng):
+        # before any finite pole K_m = I_m, and spectrum() uses H_m directly;
+        # the projected() route with its solves must give the same bits
+        a, _, _ = random_spd(50, rng)
+        d = RationalArnoldiDecomposition(DenseOperator(a), rng.standard_normal(50))
+        for _ in range(12):
+            d.step(INF)
+            theta, alpha, beta, m = d.spectrum()
+            a_m, last, m_proj = d.projected()
+            ref_theta, u = np.linalg.eigh(0.5 * (a_m + a_m.T))
+            assert m == m_proj and d.rational_solves == 0
+            assert np.array_equal(theta, ref_theta)
+            assert np.array_equal(alpha, np.linalg.solve(d.K[:m, :m].T, last) @ u)
+            assert np.array_equal(beta, u[0, :])
 
 
 class TestGmEstimate:
