@@ -26,7 +26,7 @@ from .krylov import (
     group_size,
 )
 from .solver import PoleSolver
-from .sparse import DensityMatrix, SpectralInterval, dense_sym_eig, laplacian_interval
+from .sparse import DensityMatrix, SpectralInterval, clamp_psd_eigenvalues, dense_sym_eig, laplacian_interval
 
 STREAM_PILOT = 1
 STREAM_OMEGA = 2
@@ -238,11 +238,13 @@ def _applies(provider, count: int, vector, tol=None) -> np.ndarray:
 
 
 def probing_error_identity_check(dense_a: np.ndarray, coloring: Coloring, fun: FunctionTriple) -> float:
-    """-sum_l sum_{i != j in V_l} [f(A)]_{ij}, computed densely.
+    """-sum_l sum_{i != j in V_l} [f(A)]_{ij}, computed densely for a PSD A.
 
-    Equals trace(f(A)) - traceP_d(f(A)) for the same coloring.
+    Equals trace(f(A)) - traceP_d(f(A)) for the same coloring. Eigenvalues
+    are clamped as in sparse.clamp_psd_eigenvalues.
     """
     w, u = dense_sym_eig(dense_a)
+    w = clamp_psd_eigenvalues(w)
     fa = (u * np.asarray(fun.f(w))) @ u.T
     total = 0.0
     for cls in coloring.classes:

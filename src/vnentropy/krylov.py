@@ -28,12 +28,18 @@ RITZ_CLUSTER_TOL = 1e-14
 DEFAULT_M_MAX = 150
 SWITCH_WINDOW = 3          # paper's ell
 SWITCH_FACTOR = 0.75       # paper's c
-BASIS_CAP = 18             # basis columns allocated up front; doubled as needed
-# One byte budget for a lockstep group: the start bases of its vectors,
-# n x (BASIS_CAP + 1) floats each, fit in it, and so do the three bound
-# temporaries of a row block, TEMP_BYTES each.
-GROUP_BYTES = 640 * 1024
-TEMP_BYTES = GROUP_BYTES // 3
+BASIS_CAP = 18             # basis vectors allocated up front; doubled as needed
+# A lockstep group holds as many vectors as their (BASIS_CAP + 1) x n start
+# bases fit in GROUP_BYTES. The per-iteration eigh, bound mesh and loop cost
+# is fixed per group, so wider groups spread it over more vectors. The bases
+# are streamed row by row and need not stay in cache; what caps the budget
+# is peak memory, which grows by about the budget itself. 2.5 MiB gives 16
+# vectors at n = 1024, 4 at n = 3600 and 1 at n = 14400.
+GROUP_BYTES = 2560 * 1024
+# The bound kernel's (m, rows, N) temporaries are swept several times per
+# evaluation, so each is cut to row blocks of at most TEMP_BYTES, which
+# keeps the three of them within a core's L2 cache.
+TEMP_BYTES = 213 * 1024
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,12 @@ class DenseOperator:
 class RationalArnoldiDecomposition:
     """State of the rational Arnoldi process: orthonormal basis V, the
     Hessenberg pencil (H_under, K_under) and the poles in decomposition
-    order, with the pole at infinity last."""
+    order, with the pole at infinity last.
+
+    The basis is stored row-major, one contiguous row of n floats per basis
+    vector, so orthogonalization, the pole-swap rotation and f(A) b stream
+    whole rows; only the first nbasis rows are set.
+    """
 
     def __init__(self, operator, b):
         self.op = operator
@@ -166,10 +177,10 @@ class RationalArnoldiDecomposition:
         if self.b_norm == 0:
             raise ValueError("start vector is zero")
         cap = BASIS_CAP
-        self.V = np.zeros((n, cap + 1))
+        self._rows = np.empty((cap + 1, n))
         self.H = np.zeros((cap + 1, cap))
         self.K = np.zeros((cap + 1, cap))
-        self.V[:, 0] = b / self.b_norm
+        self._rows[0] = b / self.b_norm
         self.nbasis = 1
         self.poles: list = []
         self.exhausted = False
@@ -185,13 +196,20 @@ class RationalArnoldiDecomposition:
         if len(self.poles) < cap:
             return
         new_cap = 2 * cap
-        V = np.zeros((self.V.shape[0], new_cap + 1))
-        V[:, : self.nbasis] = self.V[:, : self.nbasis]
+        rows = np.empty((new_cap + 1, self._rows.shape[1]))
+        rows[: self.nbasis] = self._rows[: self.nbasis]
         H = np.zeros((new_cap + 1, new_cap))
         K = np.zeros((new_cap + 1, new_cap))
         H[: cap + 1, :cap] = self.H
         K[: cap + 1, :cap] = self.K
-        self.V, self.H, self.K = V, H, K
+        self._rows, self.H, self.K = rows, H, K
+
+    @property
+    def V(self) -> np.ndarray:
+        """The basis as columns, V_m = V[:, :m]: a read-only view of the rows."""
+        v = self._rows.T
+        v.flags.writeable = False
+        return v
 
     @property
     def eval_dim(self) -> int:
@@ -201,11 +219,11 @@ class RationalArnoldiDecomposition:
     # -- extension ---------------------------------------------------------
 
     def _orthogonalize(self, w):
-        V = self.V[:, : self.nbasis]
-        c = V.T @ w
-        w = w - V @ c
-        c2 = V.T @ w
-        w = w - V @ c2
+        rows = self._rows[: self.nbasis]
+        c = rows @ w
+        w = w - c @ rows
+        c2 = rows @ w
+        w = w - c2 @ rows
         c += c2
         return w, c
 
@@ -215,8 +233,7 @@ class RationalArnoldiDecomposition:
         self._grow()
         self._spectrum = None
         m = self.nbasis
-        v = self.V[:, m - 1]
-        av = self.op.matvec(v)
+        av = self.op.matvec(self._rows[m - 1])
         if xi == INF:
             w = av
             self.poly_matvecs += 1
@@ -244,7 +261,7 @@ class RationalArnoldiDecomposition:
             self.H[m, col] = 0.0
             self.K[m, col] = 0.0
             return False
-        self.V[:, m] = w / beta
+        np.divide(w, beta, out=self._rows[m])
         self.nbasis += 1
         return True
 
@@ -270,7 +287,7 @@ class RationalArnoldiDecomposition:
             return
         if self.poles[-2] != INF:
             raise RuntimeError("second-to-last pole must be infinity to swap")
-        H, K, V = self.H, self.K, self.V
+        H, K = self.H, self.K
         r0, r1 = m - 1, m          # rows of the 2x2 subpencil
         c0, c1 = m - 2, m - 1      # columns
         h2 = np.array([[H[r0, c0], H[r0, c1]], [0.0, H[r1, c1]]])
@@ -299,7 +316,7 @@ class RationalArnoldiDecomposition:
         H[[r0, r1], : m] = gu.T @ H[[r0, r1], : m]
         K[[r0, r1], : m] = gu.T @ K[[r0, r1], : m]
         if self.nbasis > m:
-            V[:, [r0, r1]] = V[:, [r0, r1]] @ gu
+            self._rows[r0 : r1 + 1] = gu.T @ self._rows[r0 : r1 + 1]
         norm_k = np.abs(K[: m + 1, :m]).max()
         if max(abs(K[r1, c1]), abs(K[r1, c0]), abs(H[r1, c0])) > SWAP_RESIDUAL_TOL * max(
             norm_k, np.abs(self.H[: m + 1, :m]).max()
@@ -393,7 +410,7 @@ def funvec_value(decomp: RationalArnoldiDecomposition, fun: FunctionTriple) -> n
     if not np.all(np.isfinite(fv)):
         raise ValueError(f"f undefined at Ritz value(s) {theta[~np.isfinite(fv)]}")
     coeffs = u @ (fv * u[0, :])
-    return decomp.b_norm * (decomp.V[:, :m] @ coeffs)
+    return decomp.b_norm * (coeffs @ decomp._rows[:m])
 
 
 def _clamp_ritz(theta):
@@ -679,7 +696,7 @@ class QuadformResult:
 
 
 def group_size(n: int) -> int:
-    """Start vectors advanced in lockstep: as many n x (BASIS_CAP + 1)
+    """Start vectors advanced in lockstep: as many (BASIS_CAP + 1) x n
     start bases as fit in GROUP_BYTES, at least one."""
     return max(1, GROUP_BYTES // (8 * n * (BASIS_CAP + 1)))
 

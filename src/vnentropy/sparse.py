@@ -10,6 +10,7 @@ from typing import Literal
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 
@@ -277,11 +278,16 @@ class SpectralInterval:
 
 
 def matvec(mat: SparseSymMatrix, x: np.ndarray) -> np.ndarray:
-    """CSR product A @ x; each row is summed in stored column order."""
+    """CSR product A @ x for a vector x; each row is summed in stored column
+    order. Calls the kernel that ``mat._csr @ x`` reaches after scipy's
+    operator dispatch directly, so the result is bitwise the same."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != mat.n:
-        raise ValueError(f"dimension mismatch: {x.shape[0]} != {mat.n}")
-    return mat._csr @ x
+    if x.shape != (mat.n,):
+        raise ValueError(f"dimension mismatch: {x.shape} != ({mat.n},)")
+    csr = mat._csr
+    y = np.zeros(mat.n)
+    csr_matvec(mat.n, mat.n, csr.indptr, csr.indices, csr.data, x, y)
+    return y
 
 
 def build_laplacian(adjacency: SparseSymMatrix) -> SparseSymMatrix:
@@ -377,11 +383,17 @@ def dense_entropy_oracle(mat, cap: int = DENSE_ORACLE_CAP) -> float:
     return entropy_from_eigenvalues(np.linalg.eigvalsh(_symmetrized(dense)))
 
 
-def entropy_from_eigenvalues(w: np.ndarray) -> float:
+def clamp_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a PSD matrix with those in [-1e-12 ||A||, 0), rounding
+    noise, set to 0; a lower eigenvalue raises ValueError."""
     norm = np.abs(w).max() if w.size else 0.0
     if norm > 0 and w.min() < -1e-12 * norm:
         raise ValueError(f"matrix is not PSD: eigenvalue {w.min()}")
-    w = np.clip(w, 0.0, None)
+    return np.clip(w, 0.0, None)
+
+
+def entropy_from_eigenvalues(w: np.ndarray) -> float:
+    w = clamp_psd_eigenvalues(w)
     pos = w[w > 0]
     return float(-(pos * np.log(pos)).sum())
 

@@ -17,6 +17,7 @@ from vnentropy.estimators import (
     probing_error_identity_check,
     probing_trace,
 )
+from vnentropy.generators import barabasi_albert_adjacency
 from vnentropy.krylov import ENTROPY
 from vnentropy.sparse import dense_entropy_oracle, dense_sym_eig, from_coo
 
@@ -79,6 +80,24 @@ class TestProbingErrorIdentity:
         )
         identity = probing_error_identity_check(rho.matrix.todense(), coloring, ENTROPY)
         assert exact - trace_p == pytest.approx(identity, abs=1e-10)
+
+    def test_rounding_negative_eigenvalue_clamped(self):
+        """ba:1024:2 seed 7001 has a smallest eigenvalue of about -2e-18:
+        clamped to 0, the identity stays finite and equals S - traceP_4."""
+        rho = laplacian_density(barabasi_albert_adjacency(1024, 2, 7001))
+        dense = rho.matrix.todense()
+        assert np.linalg.eigvalsh(dense).min() < 0
+        coloring = greedy_distance_coloring(rho.matrix, 4)
+        fa = dense_entropy_matrix(rho)
+        trace_p = sum(float(fa[np.ix_(c, c)].sum()) for c in coloring.classes)
+        identity = probing_error_identity_check(dense, coloring, ENTROPY)
+        assert np.isfinite(identity)
+        assert identity == pytest.approx(dense_entropy_oracle(rho.matrix) - trace_p, rel=1e-10)
+
+    def test_indefinite_rejected(self):
+        coloring = greedy_distance_coloring(from_coo(2, [], [], []), 1)
+        with pytest.raises(ValueError):
+            probing_error_identity_check(np.diag([1.0, -0.5]), coloring, ENTROPY)
 
     def test_m_matrix_lower_bound_small(self, rng):
         for _ in range(5):

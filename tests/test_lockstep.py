@@ -46,7 +46,7 @@ def assert_bitwise(group, singles):
             assert np.array_equal(g.vector, s.vector), j
 
 
-@pytest.fixture(params=[2, 5, 13])
+@pytest.fixture(params=[2, 5, 13, 40])
 def k(request):
     return request.param
 
@@ -64,7 +64,7 @@ def _desingularized_pair(rho, block, tols, **kwargs):
 class TestGroupsMatchSingleRuns:
     def test_ba_density(self, rng, k):
         rho = laplacian_density(barabasi_albert_adjacency(150, 2, 11))
-        assert group_size(rho.n) >= 13
+        assert group_size(rho.n) >= 40
         block = rng.standard_normal((rho.n, k))
         tols = list(1e-7 * (1.0 + 3.0 * np.arange(k)))
         iv = laplacian_interval(rho)

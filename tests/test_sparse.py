@@ -273,6 +273,14 @@ class TestMatvec:
         with pytest.raises(ValueError):
             matvec(path_graph(3), np.ones(4))
 
+    @pytest.mark.parametrize("adjacency", [grid2d_adjacency(15), barabasi_albert_adjacency(300, 2, 5)])
+    def test_bitwise_scipy_product(self, rng, adjacency):
+        """The direct CSR kernel call gives the bits of scipy's operator."""
+        lap = build_laplacian(adjacency)
+        x = rng.standard_normal(lap.n)
+        assert np.array_equal(matvec(lap, x), lap._csr @ x)
+        assert np.array_equal(matvec(lap, x[::-1]), lap._csr @ x[::-1])
+
 
 def _reference_interval(mat, desingularize, iters, lower_safety=0.5, upper_safety=1.1, seed=0):
     """Lanczos sweep with two unconditional Gram-Schmidt passes per step over
