@@ -475,9 +475,8 @@ def hutchinson(provider, n_samples: int, seed: int, stream: int = STREAM_HUTCH) 
     if n_samples < 1:
         raise ValueError("need at least one sample")
     total = 0.0
-    for j in range(n_samples):
-        x = gaussian_vector(seed, stream, j, provider.n)
-        total += provider.quadform(x)
+    for value in _quadforms(provider, n_samples, lambda j: gaussian_vector(seed, stream, j, provider.n)):
+        total += value
     return total / n_samples
 
 
@@ -498,19 +497,19 @@ def hutchpp(provider, n_rank: int, n_hutch: int, seed: int) -> float:
     if n_rank < 1:
         raise ValueError("n_rank must be at least 1")
     n = provider.n
-    omega = np.column_stack(
-        [gaussian_vector(seed, STREAM_OMEGA, j, n) for j in range(n_rank)]
-    )
-    y = np.column_stack([provider.apply(omega[:, j]) for j in range(n_rank)])
+    y = _applies(provider, n_rank, lambda j: gaussian_vector(seed, STREAM_OMEGA, j, n))
     q = _rank_revealing_orth(y)
-    t_low = sum(provider.quadform(q[:, i]) for i in range(q.shape[1]))
+    t_low = sum(_quadforms(provider, q.shape[1], lambda i: q[:, i]))
     if n_hutch == 0:
         return float(t_low)
-    total = 0.0
-    for j in range(n_hutch):
+
+    def deflated(j):
         x = gaussian_vector(seed, STREAM_HUTCH, j, n)
-        x = x - q @ (q.T @ x)
-        total += provider.quadform(x)
+        return x - q @ (q.T @ x)
+
+    total = 0.0
+    for value in _quadforms(provider, n_hutch, deflated):
+        total += value
     return float(t_low + total / n_hutch)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,50 +160,202 @@ class DenseOperator:
         return (-xi) * np.linalg.solve(-xi * np.eye(self.n) + self.a, av)
 
 
+class ArnoldiGroup:
+    """Stacked state of rational Arnoldi decompositions advanced in lockstep.
+
+    Slot i holds member i's basis in rows[i], row-major as cap + 1 rows of n
+    floats, and its Hessenberg pencil in H[i] and K[i]. ``members`` lists
+    the member decompositions in slot order; remove() moves the last member
+    into the freed slot, so the members always fill a prefix of the stacks
+    and one batched call per stage serves them all. The members own the
+    group and the group refers to them weakly, so the stacks are freed
+    with the last member.
+    """
+
+    def __init__(self, operator, vectors, members: list):
+        """Start ``members``, fresh RationalArnoldiDecomposition objects, on
+        the vectors, one per slot, and take their first (polynomial) step."""
+        k, n, cap = len(vectors), operator.n, BASIS_CAP
+        self.op = operator
+        self.rows = np.empty((k, cap + 1, n))
+        self.H = np.zeros((k, cap + 1, cap))
+        self.K = np.zeros((k, cap + 1, cap))
+        self._spectrum = None
+        start = self.rows[:, 0]
+        for i, b in enumerate(vectors):
+            start[i] = b
+        b_norm = _norms(start)
+        if not b_norm.all():
+            raise ValueError("start vector is zero")
+        start /= b_norm[:, None]
+        for i, d in enumerate(members):
+            d.op, d.b_norm, d._group, d._slot = operator, float(b_norm[i]), self, i
+            d.nbasis, d.poles, d.exhausted = 1, [], False
+            d.poly_matvecs = d.rational_solves = 0
+            d._spectrum = None
+        self._refs = [weakref.ref(d) for d in members]
+        self.step([INF] * k)
+
+    @property
+    def members(self) -> list:
+        return [ref() for ref in self._refs]
+
+    def _grow(self):
+        """Double the capacity, once the members have filled all cap + 1 rows."""
+        k, cap = len(self._refs), self.H.shape[2]
+        rows = np.empty((k, 2 * cap + 1, self.rows.shape[2]))
+        rows[:, : cap + 1] = self.rows[:k]
+        H, K = np.zeros((2, k, 2 * cap + 1, 2 * cap))
+        H[:, : cap + 1, :cap] = self.H[:k]
+        K[:, : cap + 1, :cap] = self.K[:k]
+        self.rows, self.H, self.K = rows, H, K
+
+    def extend(self, poles, lo: int = 0) -> list:
+        """Extend members lo, lo + 1, ... by one pole each, without the pole
+        swap. Returns one bool per member, False where it broke down.
+
+        Each column gets one matvec, and one shifted solve for a finite pole.
+        Classical Gram-Schmidt applied twice orthogonalizes all columns in
+        one batched matmul per pass; per member it is the gemv pair of a
+        column on its own, so every member gets the same bits.
+        """
+        k = len(poles)
+        members = [ref() for ref in self._refs[lo : lo + k]]
+        m = members[0].nbasis
+        for d, xi in zip(members, poles):
+            if d.exhausted:
+                raise RuntimeError("decomposition is exhausted (invariant subspace)")
+            if d.nbasis != m:
+                raise ValueError("members extended together must share nbasis")
+            if xi != INF and not (np.isfinite(xi) and xi < 0):
+                raise ValueError(f"invalid pole {xi}")
+        if m > self.H.shape[2]:
+            self._grow()
+        self._spectrum = None
+        s = slice(lo, lo + k)
+        rows, H, K = self.rows[s], self.H[s], self.K[s]
+        basis, w = rows[:, :m], rows[:, m]
+        finite = []
+        for i, (d, xi) in enumerate(zip(members, poles)):
+            av = self.op.matvec(rows[i, m - 1])
+            d.poly_matvecs += 1
+            if xi == INF:
+                w[i] = av
+            else:
+                w[i] = self.op.solve_pole(xi, av)
+                d.rational_solves += 1
+                finite.append((i, math.sqrt(av @ av)))
+            d.poles.append(xi)
+        av_norm = _norms(w).tolist()   # ||A v|| where w is still A v
+        for i, norm in finite:
+            av_norm[i] = norm
+        c = np.matmul(basis, w[:, :, None])
+        w -= _combine(c, basis)
+        c2 = np.matmul(basis, w[:, :, None])
+        w -= _combine(c2, basis)
+        c = (c + c2)[:, :, 0]
+        beta = _norms(w)
+        col = m - 1
+        H[:, :m, col] = c
+        H[:, m, col] = beta
+        if finite:
+            f = [i for i, _ in finite]
+            xi = np.array([poles[i] for i in f])
+            K[f, :m, col] = c[f] / xi[:, None]
+            K[f, m, col] = beta[f] / xi
+        K[:, col, col] += 1.0
+        ok = [not beta_i <= BREAKDOWN_TOL * max(d.b_norm, av_i)
+              for d, beta_i, av_i in zip(members, beta.tolist(), av_norm)]
+        for d, ok_i in zip(members, ok):
+            d.nbasis += ok_i
+            d.exhausted = not ok_i
+        if all(ok):
+            w /= beta[:, None]
+            return ok
+        for i, ok_i in enumerate(ok):   # a broken-down member's row stays unused
+            if ok_i:
+                w[i] /= beta[i]
+            else:
+                H[i, m, col] = K[i, m, col] = 0.0
+        return ok
+
+    def step(self, poles, lo: int = 0) -> list:
+        """extend(), then swap each consumed finite pole ahead of the
+        trailing infinity; the members' step() in one call."""
+        ok = self.extend(poles, lo)
+        for ref, xi, ok_i in zip(self._refs[lo : lo + len(poles)], poles, ok):
+            if ok_i and xi != INF:
+                ref().swap_last_pole_to_infinity()
+        return ok
+
+    def remove(self, i: int):
+        """Drop member i, which leaves it unusable; the last member moves
+        into its slot."""
+        refs = self._refs
+        gone, last = refs[i](), len(refs) - 1
+        if i != last:
+            d = refs[last]()
+            self.rows[i, : d.nbasis] = self.rows[last, : d.nbasis]
+            self.H[i] = self.H[last]
+            self.K[i] = self.K[last]
+            d._slot = i
+            refs[i] = refs[last]
+        refs.pop()
+        gone._group = None
+        self._spectrum = None
+
+
+def _combine(c, basis):
+    """c^T V per member, (k, m, 1) and (k, m, n) to (k, n), bitwise the gemv
+    of one member alone. For m = 1 numpy's matmul skips BLAS for a loop
+    that starts each sum at 0.0; a product plus 0.0 gives its bits at a
+    fraction of its cost."""
+    if basis.shape[1] == 1:
+        return c[:, 0] * basis[:, 0] + 0.0
+    return np.matmul(c.transpose(0, 2, 1), basis)[:, 0]
+
+
+def _norms(x):
+    """2-norms of the rows of x (k, n), each bitwise np.linalg.norm of the
+    row alone (one dot product, then sqrt)."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]))[:, 0, 0]
+
+
 class RationalArnoldiDecomposition:
     """State of the rational Arnoldi process: orthonormal basis V, the
     Hessenberg pencil (H_under, K_under) and the poles in decomposition
     order, with the pole at infinity last.
 
-    The basis is stored row-major, one contiguous row of n floats per basis
-    vector, so orthogonalization, the pole-swap rotation and f(A) b stream
-    whole rows; only the first nbasis rows are set.
+    A decomposition is one slot of an ArnoldiGroup: one built on its own is
+    the single member of its own group, and step() is the group step with
+    k = 1. The basis is stored row-major, one contiguous row of n floats per
+    basis vector; only the first nbasis rows are set.
     """
 
     def __init__(self, operator, b):
-        self.op = operator
-        n = operator.n
-        b = np.asarray(b, dtype=np.float64)
-        self.b_norm = float(np.linalg.norm(b))
-        if self.b_norm == 0:
-            raise ValueError("start vector is zero")
-        cap = BASIS_CAP
-        self._rows = np.empty((cap + 1, n))
-        self.H = np.zeros((cap + 1, cap))
-        self.K = np.zeros((cap + 1, cap))
-        self._rows[0] = b / self.b_norm
-        self.nbasis = 1
-        self.poles: list = []
-        self.exhausted = False
-        self.poly_matvecs = 0
-        self.rational_solves = 0
-        self._spectrum = None
-        self._extend(INF)
+        ArnoldiGroup(operator, [np.asarray(b, dtype=np.float64)], [self])
+
+    @classmethod
+    def lockstep(cls, operator, vectors) -> list:
+        """One decomposition per start vector, the members of one new
+        ArnoldiGroup in slot order."""
+        members = [cls.__new__(cls) for _ in vectors]
+        ArnoldiGroup(operator, vectors, members)
+        return members
 
     # -- storage -----------------------------------------------------------
 
-    def _grow(self):
-        cap = self.H.shape[1]
-        if len(self.poles) < cap:
-            return
-        new_cap = 2 * cap
-        rows = np.empty((new_cap + 1, self._rows.shape[1]))
-        rows[: self.nbasis] = self._rows[: self.nbasis]
-        H = np.zeros((new_cap + 1, new_cap))
-        K = np.zeros((new_cap + 1, new_cap))
-        H[: cap + 1, :cap] = self.H
-        K[: cap + 1, :cap] = self.K
-        self._rows, self.H, self.K = rows, H, K
+    @property
+    def _rows(self) -> np.ndarray:
+        return self._group.rows[self._slot]
+
+    @property
+    def H(self) -> np.ndarray:
+        return self._group.H[self._slot]
+
+    @property
+    def K(self) -> np.ndarray:
+        return self._group.K[self._slot]
 
     @property
     def V(self) -> np.ndarray:
@@ -218,61 +371,14 @@ class RationalArnoldiDecomposition:
 
     # -- extension ---------------------------------------------------------
 
-    def _orthogonalize(self, w):
-        rows = self._rows[: self.nbasis]
-        c = rows @ w
-        w = w - c @ rows
-        c2 = rows @ w
-        w = w - c2 @ rows
-        c += c2
-        return w, c
-
-    def _extend(self, xi):
-        if self.exhausted:
-            raise RuntimeError("decomposition is exhausted (invariant subspace)")
-        self._grow()
-        self._spectrum = None
-        m = self.nbasis
-        av = self.op.matvec(self._rows[m - 1])
-        if xi == INF:
-            w = av
-            self.poly_matvecs += 1
-        else:
-            if not (np.isfinite(xi) and xi < 0):
-                raise ValueError(f"invalid pole {xi}")
-            w = self.op.solve_pole(xi, av)
-            self.poly_matvecs += 1
-            self.rational_solves += 1
-        w, c = self._orthogonalize(w)
-        beta = float(np.linalg.norm(w))
-        col = len(self.poles)
-        self.H[:m, col] = c
-        self.H[m, col] = beta
-        if xi == INF:
-            self.K[m - 1, col] += 1.0
-        else:
-            self.K[:m, col] = c / xi
-            self.K[m, col] = beta / xi
-            self.K[m - 1, col] += 1.0
-        self.poles.append(xi)
-        scale = max(self.b_norm, float(np.linalg.norm(av)))
-        if beta <= BREAKDOWN_TOL * scale:
-            self.exhausted = True
-            self.H[m, col] = 0.0
-            self.K[m, col] = 0.0
-            return False
-        np.divide(w, beta, out=self._rows[m])
-        self.nbasis += 1
-        return True
+    def _extend(self, xi) -> bool:
+        return bool(self._group.extend([xi], self._slot)[0])
 
     def step(self, xi) -> bool:
         """Consume one pole (infinity or negative), then swap a finite one
         ahead of the trailing infinity. Returns False on breakdown, which
         marks the decomposition exhausted (early convergence, not failure)."""
-        ok = self._extend(xi)
-        if ok and xi != INF and len(self.poles) >= 2:
-            self.swap_last_pole_to_infinity()
-        return ok
+        return bool(self._group.step([xi], self._slot)[0])
 
     # -- pole swapping -----------------------------------------------------
 
@@ -326,7 +432,7 @@ class RationalArnoldiDecomposition:
         K[r1, c0] = 0.0
         H[r1, c0] = 0.0
         self.poles[-1], self.poles[-2] = self.poles[-2], self.poles[-1]
-        self._spectrum = None
+        self._group._spectrum = None
 
     # -- projections -------------------------------------------------------
 
@@ -346,36 +452,41 @@ class RationalArnoldiDecomposition:
         """Eigen-data of the symmetrized projection: (theta, alpha, beta, m).
 
         alpha = h_{m+1}^T K_m^{-1} U, beta = U^T e_1 in the notation of the
-        error kernel g_m. Computed once per iteration (read-only arrays).
+        error kernel g_m: this member's rows of group_spectrum (read-only).
         """
-        if self._spectrum is None:
-            group_spectrum([self])
-        return self._spectrum
+        stacked = group_spectrum(self._group)
+        if self._spectrum is None or self._spectrum[0] is not stacked:
+            theta, alpha, beta, m = stacked
+            i = self._slot
+            self._spectrum = (stacked, (theta[i], alpha[i], beta[i], m))
+        return self._spectrum[1]
 
 
-def group_spectrum(decomps):
-    """Fill the spectrum() cache of decompositions that share eval_dim m.
+def group_spectrum(group: ArnoldiGroup):
+    """(theta, alpha, beta, m) of all members of a group sharing eval_dim m,
+    each a read-only (k, m) array, computed once per iteration.
 
-    One stacked eigh covers the (k, m, m) symmetrized projections, and one
-    stacked solve with K_m^T the members that consumed a finite pole. Before
-    the first finite pole K_m = I_m exactly, so A_m = H_m and
-    alpha = h_{m+1}^T U need no solve. Stacked LAPACK calls give every member
-    the bits of a call on it alone.
+    One stacked eigh covers the (k, m, m) symmetrized projections, read
+    straight from the H stack, and one stacked solve with K_m^T the members
+    that consumed a finite pole. Before the first finite pole K_m = I_m
+    exactly, so A_m = H_m and alpha = h_{m+1}^T U need no solve. Stacked
+    LAPACK calls give every member the bits of a call on it alone.
     """
-    todo = [d for d in decomps if d._spectrum is None]
-    if not todo:
-        return
-    m = todo[0].eval_dim
-    for d in todo:
+    if group._spectrum is not None:
+        return group._spectrum
+    members = group.members
+    m = members[0].eval_dim
+    for d in members:
         if d.eval_dim != m:
             raise ValueError("decompositions in a group must share eval_dim")
         if not d.exhausted and d.poles[-1] != INF:
             raise RuntimeError("last pole must be infinity (swap first)")
-    a_m = np.array([d.H[:m, :m] for d in todo])
-    last = np.array([d.H[m, :m] for d in todo])
-    rational = [i for i, d in enumerate(todo) if d.rational_solves]
+    h = group.H[: len(members)]
+    a_m, last = h[:, :m, :m], h[:, m, :m]
+    rational = [i for i, d in enumerate(members) if d.rational_solves]
     if rational:
-        k_t = np.array([todo[i].K[:m, :m].T for i in rational])
+        k_t = group.K[rational, :m, :m].transpose(0, 2, 1)
+        a_m, last = a_m.copy(), last.copy()
         a_m[rational] = np.linalg.solve(k_t, a_m[rational].transpose(0, 2, 1)).transpose(0, 2, 1)
         last[rational] = np.linalg.solve(k_t, last[rational][:, :, None])[:, :, 0]
     theta, u = np.linalg.eigh(0.5 * (a_m + a_m.transpose(0, 2, 1)))
@@ -383,8 +494,8 @@ def group_spectrum(decomps):
     beta = u[:, 0, :]
     for arr in (theta, alpha, beta):
         arr.flags.writeable = False
-    for i, d in enumerate(todo):
-        d._spectrum = (theta[i], alpha[i], beta[i], m)
+    group._spectrum = (theta, alpha, beta, m)
+    return group._spectrum
 
 
 def quadform_value(decomp: RationalArnoldiDecomposition, fun: FunctionTriple) -> float:
@@ -434,50 +545,40 @@ def _base_mesh(a: float, b: float, grid: int, fun: FunctionTriple):
     return mesh, fz
 
 
-def _bound_mesh(interval: SpectralInterval, theta, grid: int, fun: FunctionTriple):
-    """(z, f(z)) as (k, N + m) arrays: the cached sorted base mesh of N
-    points, then each row's m Ritz values. A Ritz value outside [a, b] is
-    replaced by a, which is the first mesh point already, so the min/max
-    over a row do not change."""
-    a, b = interval.a, interval.b
-    mesh, f_mesh = _base_mesh(a, b, grid, fun)
-    k, m = theta.shape
-    z = np.empty((k, mesh.size + m))
-    fz = np.empty((k, mesh.size + m))
-    z[:, : mesh.size] = mesh
-    fz[:, : mesh.size] = f_mesh
-    z[:, mesh.size :] = theta
-    outside = ~((theta >= a) & (theta <= b))
-    any_outside = outside.any()
-    if any_outside:
-        z[:, mesh.size :][outside] = a
-    fz[:, mesh.size :] = fun.f(z[:, mesh.size :])
-    if any_outside:
-        fz[:, mesh.size :][outside] = f_mesh[0]
-    return z, fz
-
-
 _WINDOW = np.array([-2.0, 2.0])[:, None, None]
 
 
-def _near_points(z, theta, tol: float):
-    """Indices (j, i, p) of the points z[i, p] with |z[i, p] - theta[j, i]|
-    <= tol, for z from _bound_mesh and theta (m, k). The sorted base mesh
-    is searched around each theta, the m Ritz columns are compared whole."""
-    m = theta.shape[0]
-    n_mesh = z.shape[1] - m
-    j, i, p = np.nonzero(np.abs(z[None, :, n_mesh:] - theta[:, :, None]) <= tol)
-    p += n_mesh
-    mesh = z[0, :n_mesh]
+def _bound_points(interval: SpectralInterval, theta, grid: int, fun: FunctionTriple):
+    """(mesh, f_mesh, z, fz, near): the points the bounds of k spectra theta
+    (k, m) are evaluated on. Row i is evaluated on N + m points: the cached
+    sorted base mesh of N points, shared by all rows, then the row's own
+    Ritz values z[i]. A Ritz value outside [a, b] is replaced by a, which
+    is the first mesh point already, so the min/max over a row do not
+    change.
+
+    ``near`` holds the indices (j, i, p) of the points p of row i within
+    1e-8 b of max(theta[i, j], TINY), where the kernels substitute their
+    limits. The mesh is searched around each theta, the Ritz values are
+    compared whole.
+    """
+    a, b = interval.a, interval.b
+    tol = 1e-8 * max(b, 1e-300)
+    mesh, f_mesh = _base_mesh(a, b, grid, fun)
+    outside = ~((theta >= a) & (theta <= b))
+    z = np.where(outside, a, theta)
+    fz = np.asarray(fun.f(z), dtype=np.float64)
+    fz[outside] = f_mesh[0]
+    theta = np.maximum(theta, TINY).T
+    j, i, p = np.nonzero(np.abs(z[None, :, :] - theta[:, :, None]) <= tol)
+    p += mesh.size
     lo, hi = np.searchsorted(mesh, theta + _WINDOW * tol)
-    hits = hi > lo
-    for jj, ii in zip(*np.nonzero(hits)) if hits.any() else ():
+    for jj, ii in zip(*np.nonzero(hi > lo)):
         cand = np.arange(lo[jj, ii], hi[jj, ii])
         cand = cand[np.abs(mesh[cand] - theta[jj, ii]) <= tol]
         j, i, p = (np.concatenate([j, np.full(cand.size, jj)]),
                    np.concatenate([i, np.full(cand.size, ii)]),
                    np.concatenate([p, cand]))
-    return j, i, p
+    return mesh, f_mesh, z, fz, (j, i, p)
 
 
 def _work(scratch, shape, count: int):
@@ -499,14 +600,18 @@ def _work(scratch, shape, count: int):
     return buf[: count * size].reshape((count,) + shape)
 
 
-def _divided_differences(z, fz, theta, fth, near, dz, ratio):
+def _divided_differences(mesh, f_mesh, z, fz, theta, fth, near, dz, ratio):
     """Fill dz = z - theta_j, 1 at the near points (where the caller
     substitutes the limit), and the divided differences
-    ratio = (f(z) - f(theta_j)) / dz, both (m, rows, N). theta and fth are
-    (m, rows), z and fz are (rows, N)."""
-    np.subtract(z[None, :, :], theta[:, :, None], out=dz)
+    ratio = (f(z) - f(theta_j)) / dz, both (m, rows, N + m), over the points
+    of _bound_points: the shared mesh (N,) by broadcasting, then each row's
+    Ritz values z (rows, m). theta and fth are (m, rows)."""
+    n = mesh.size
+    np.subtract(mesh, theta[:, :, None], out=dz[:, :, :n])
+    np.subtract(z[None, :, :], theta[:, :, None], out=dz[:, :, n:])
     dz[near] = 1.0
-    np.subtract(fz[None, :, :], fth[:, :, None], out=ratio)
+    np.subtract(f_mesh, fth[:, :, None], out=ratio[:, :, :n])
+    np.subtract(fz[None, :, :], fth[:, :, None], out=ratio[:, :, n:])
     ratio /= dz
 
 
@@ -550,35 +655,27 @@ def _row_buffer(width: int):
         np.setbufsize(old)
 
 
-def _spectra(decomps):
-    """Stacked (theta, alpha, beta), each (k, m), of decompositions sharing m."""
-    spectra = [d.spectrum() for d in decomps]
-    if len(spectra) == 1:
-        return tuple(s[None] for s in spectra[0][:3])
-    return tuple(np.array([s[i] for s in spectra]) for i in range(3))
-
-
 def _row_blocks(near, k: int, m: int, width: int):
     """(rows, near) pairs: row slices of k spectra whose (m, rows, width)
     temporaries fit in TEMP_BYTES, at least one row each, with the near
-    points of _near_points that fall in them, rows renumbered."""
+    points that fall in them, rows renumbered."""
     step = max(1, TEMP_BYTES // (8 * m * width))
-    if step >= k:
-        return [(slice(0, k), near)]
     j, i, p = near
     blocks = []
     for lo in range(0, k, step):
-        sel = (i >= lo) & (i < lo + step)
-        blocks.append((slice(lo, min(lo + step, k)), (j[sel], i[sel] - lo, p[sel])))
+        if i.size:
+            sel = (i >= lo) & (i < lo + step)
+            near = (j[sel], i[sel] - lo, p[sel])
+        blocks.append((slice(lo, min(lo + step, k)), near))
     return blocks
 
 
-def gm_kernel(z, fz, theta, alpha, beta, fun: FunctionTriple, b_scale: float, degraded=None, scratch=None):
+def gm_kernel(points, theta, alpha, beta, fun: FunctionTriple, degraded=None, scratch=None):
     """Evaluate g_m (second-order quadratic-form kernel) for k spectra at
-    once: theta, alpha, beta are (k, m), z and fz = f(z) are (k, N) from
-    _bound_mesh, and the result is (k, N). Rows flagged in ``degraded`` drop
-    the gamma coupling terms; ``scratch`` is as in aposteriori_bounds. Each
-    row is bitwise the kernel of its spectrum alone."""
+    once: theta, alpha, beta are (k, m), ``points`` is _bound_points' result
+    for theta, and the result is (k, N + m). Rows flagged in ``degraded``
+    drop the gamma coupling terms; ``scratch`` is as in aposteriori_bounds.
+    Each row is bitwise the kernel of its spectrum alone."""
     theta = np.maximum(theta, TINY)
     fth = np.asarray(fun.f(theta), dtype=np.float64).T
     dfth = np.asarray(fun.df(theta), dtype=np.float64).T
@@ -595,11 +692,12 @@ def gm_kernel(z, fz, theta, alpha, beta, fun: FunctionTriple, b_scale: float, de
     ab2 = ab**2
     coupling = 2.0 * (ab * gammas)
     limit = 0.5 * ab2 * d2fth + 2.0 * alpha * beta * gammas * dfth
-    near = _near_points(z, theta, 1e-8 * max(b_scale, 1e-300))
-    g = np.empty(z.shape)
-    for r, near_r in _row_blocks(near, k, m, z.shape[1]):
-        dz, ratio, term = _work(scratch, (m, r.stop - r.start, z.shape[1]), 3)
-        _divided_differences(z[r], fz[r], theta[:, r], fth[:, r], near_r, dz, ratio)
+    mesh, f_mesh, z, fz, near = points
+    width = mesh.size + m
+    g = np.empty((k, width))
+    for r, near_r in _row_blocks(near, k, m, width):
+        dz, ratio, term = _work(scratch, (m, r.stop - r.start, width), 3)
+        _divided_differences(mesh, f_mesh, z[r], fz[r], theta[:, r], fth[:, r], near_r, dz, ratio)
         np.subtract(ratio, dfth[:, r, None], out=term)
         term /= dz
         term *= ab2[:, r, None]
@@ -610,11 +708,16 @@ def gm_kernel(z, fz, theta, alpha, beta, fun: FunctionTriple, b_scale: float, de
     return g
 
 
-def _as_group(decomps):
-    """(list of decompositions, whether a single one was given)."""
-    if isinstance(decomps, (list, tuple)):
-        return list(decomps), False
-    return [decomps], True
+def _stacked_spectra(decomps):
+    """(theta, alpha, beta, members, single) for an ArnoldiGroup, one
+    decomposition or a list of them sharing m: the spectra as (k, m) arrays,
+    the group's decompositions, and whether a single one was given."""
+    if isinstance(decomps, ArnoldiGroup):
+        return (*group_spectrum(decomps)[:3], decomps.members, False)
+    single = not isinstance(decomps, (list, tuple))
+    members = [decomps] if single else list(decomps)
+    theta, alpha, beta = (np.array(s) for s in zip(*(d.spectrum()[:3] for d in members)))
+    return theta, alpha, beta, members, single
 
 
 def aposteriori_bounds(
@@ -622,19 +725,19 @@ def aposteriori_bounds(
 ):
     """Lower/upper bounds ||b||^2 (min, max) |g_m| over the spectral interval.
 
-    Takes one decomposition and returns floats, or a list of decompositions
-    sharing m and returns arrays. Clustered Ritz values (gap <= 1e-14 b)
-    make the gamma coupling terms ill-defined; they are then dropped for
-    that decomposition and its lower bound degrades to 0. ``scratch`` is a
-    dict whose work arrays successive calls reuse, or None.
+    Takes one decomposition and returns floats, or an ArnoldiGroup or a
+    list of decompositions sharing m and returns arrays. Clustered Ritz
+    values (gap <= 1e-14 b) make the gamma coupling terms ill-defined; they
+    are then dropped for that decomposition and its lower bound degrades to
+    0. ``scratch`` is a dict whose work arrays successive calls reuse, or
+    None.
     """
-    decomps, single = _as_group(decomps)
-    theta, alpha, beta = _spectra(decomps)
+    theta, alpha, beta, members, single = _stacked_spectra(decomps)
     gaps = np.diff(np.sort(theta, axis=1), axis=1)
     degraded = gaps.min(axis=1, initial=np.inf) <= RITZ_CLUSTER_TOL * interval.b
-    z, fz = _bound_mesh(interval, theta, grid, fun)
-    absg = np.abs(gm_kernel(z, fz, theta, alpha, beta, fun, interval.b, degraded, scratch))
-    scale = np.array([d.b_norm**2 for d in decomps])
+    points = _bound_points(interval, theta, grid, fun)
+    absg = np.abs(gm_kernel(points, theta, alpha, beta, fun, degraded, scratch))
+    scale = np.array([d.b_norm**2 for d in members])
     lower = np.where(degraded, 0.0, scale * absg.min(axis=1))
     upper = scale * absg.max(axis=1)
     return (float(lower[0]), float(upper[0])) if single else (lower, upper)
@@ -645,27 +748,26 @@ def funvec_aposteriori(
 ):
     """First-order bounds ||b|| (min, max) |h_m| for the f(A) b error, with
     h_m(z) = sum_j alpha_j beta_j (f(z) - f(theta_j)) / (z - theta_j).
-    One decomposition gives floats, a list sharing m gives arrays; scratch
-    is as in aposteriori_bounds."""
-    decomps, single = _as_group(decomps)
-    theta, alpha, beta = _spectra(decomps)
+    Takes what aposteriori_bounds takes and returns the same way; scratch
+    is as there."""
+    theta, alpha, beta, members, single = _stacked_spectra(decomps)
     k, m = theta.shape
-    z, fz = _bound_mesh(interval, theta, grid, fun)
+    mesh, f_mesh, z, fz, near = _bound_points(interval, theta, grid, fun)
     theta = np.maximum(theta, TINY)
     fth = np.asarray(fun.f(theta), dtype=np.float64).T
     dfth = np.asarray(fun.df(theta), dtype=np.float64).T
     ab = (alpha * beta).T
     theta = theta.T
-    near = _near_points(z, theta, 1e-8 * max(interval.b, 1e-300))
-    h = np.empty(z.shape)
-    for r, near_r in _row_blocks(near, k, m, z.shape[1]):
-        dz, ratio = _work(scratch, (m, r.stop - r.start, z.shape[1]), 2)
-        _divided_differences(z[r], fz[r], theta[:, r], fth[:, r], near_r, dz, ratio)
+    width = mesh.size + m
+    h = np.empty((k, width))
+    for r, near_r in _row_blocks(near, k, m, width):
+        dz, ratio = _work(scratch, (m, r.stop - r.start, width), 2)
+        _divided_differences(mesh, f_mesh, z[r], fz[r], theta[:, r], fth[:, r], near_r, dz, ratio)
         ratio[near_r] = dfth[:, r][near_r[:2]]
         ratio *= ab[:, r, None]
         h[r] = _pairwise_sum(ratio)
     absh = np.abs(h)
-    b_norm = np.array([d.b_norm for d in decomps])
+    b_norm = np.array([d.b_norm for d in members])
     lower, upper = b_norm * absh.min(axis=1), b_norm * absh.max(axis=1)
     return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 
@@ -718,8 +820,8 @@ def _tolerances(tol_abs, k: int) -> list:
 class _Run:
     """One start vector's state in the adaptive loop."""
 
-    def __init__(self, operator, b, tol: float):
-        self.decomp = RationalArnoldiDecomposition(operator, b)
+    def __init__(self, decomp: RationalArnoldiDecomposition, tol: float):
+        self.decomp = decomp
         self.tol = tol
         self.history: list = []
         self.switched_at = -1
@@ -762,9 +864,10 @@ def _run_adaptive(
 ) -> list:
     """The adaptive loop, one QuadformResult per start vector.
 
-    Vectors run in lockstep groups of at most group_size(n): every member
-    takes its own steps, but the group shares m, so one stacked spectrum and
-    one stacked bound evaluation serve all members per iteration. A member
+    Vectors run in lockstep groups of at most group_size(n), each one
+    ArnoldiGroup: every member takes its own poles and stop decisions, but
+    the group shares m, so per iteration one group step, one stacked
+    spectrum and one stacked bound evaluation serve all members. A member
     leaves the group when it stops, and each member's decisions and result
     are bitwise those of a run on its own.
     """
@@ -778,15 +881,16 @@ def _run_adaptive(
     runs = []
     with _row_buffer(grid):
         for lo in range(0, len(vectors), width):
-            live = [_Run(operator, b, tol) for b, tol in zip(vectors[lo : lo + width], tols[lo : lo + width])]
+            decomps = RationalArnoldiDecomposition.lockstep(operator, vectors[lo : lo + width])
+            group = decomps[0]._group
+            live = [_Run(d, tol) for d, tol in zip(decomps, tols[lo : lo + width])]
             runs += live
             while live:
-                decomps = [r.decomp for r in live]
-                group_spectrum(decomps)
-                lowers, uppers = bound_fn(decomps, fun, interval, grid=grid, scratch=scratch)
-                m = decomps[0].eval_dim
-                stepping = []
-                for r, lower, upper in zip(live, lowers.tolist(), uppers.tolist()):
+                group_spectrum(group)
+                lowers, uppers = bound_fn(group, fun, interval, grid=grid, scratch=scratch)
+                m = live[0].decomp.eval_dim
+                poles, done = [], []
+                for i, (r, lower, upper) in enumerate(zip(live, lowers.tolist(), uppers.tolist())):
                     d = r.decomp
                     est = gm_estimate(lower, upper)
                     stat = upper if stop == "bound" else est
@@ -796,6 +900,8 @@ def _run_adaptive(
                     converged = d.exhausted or (m >= 2 and stat <= r.tol)
                     if converged or m >= m_max:
                         r.finish(fun, converged, lower, upper, est, want_vector)
+                        poles.append(None)
+                        done.append(i)
                         continue
                     h = r.history
                     if (
@@ -806,13 +912,17 @@ def _run_adaptive(
                     ):
                         r.switched_at = m
                     if r.switched_at < 0 or pole_source is None:
-                        next_pole = INF
+                        poles.append(INF)
                     else:
-                        next_pole = pole_source[r.rational_index % len(pole_source)]
+                        poles.append(pole_source[r.rational_index % len(pole_source)])
                         r.rational_index += 1
-                    d.step(next_pole)
-                    stepping.append(r)
-                live = stepping
+                for i in reversed(done):
+                    group.remove(i)
+                    live[i], poles[i] = live[-1], poles[-1]
+                    live.pop()
+                    poles.pop()
+                if live:
+                    group.step(poles)
     return [r.result for r in runs]
 
 

@@ -372,6 +372,25 @@ class TestBoundsAgainstReference:
         self._check(decomp, XLOGX, iv, degraded=True)
         assert aposteriori_bounds(decomp, XLOGX, iv)[0] == 0.0
 
+    def test_ritz_values_on_base_mesh_points(self, rng):
+        # a Ritz value at a, or within tol / 2 of an interior mesh point,
+        # meets the shared base mesh, where the kernels substitute their
+        # limits; the group, each spectrum alone and the reference agree
+        iv = SpectralInterval(0.2, 2.0)
+        mesh = np.geomspace(iv.a, iv.b, 2000)
+        half_tol = 0.5e-8 * iv.b
+        stand_ins = [
+            _FixedSpectrum(np.sort(np.append(rng.uniform(0.3, 1.8, 3), theta)),
+                           rng.standard_normal(4), rng.standard_normal(4), b_norm=1.0 + j)
+            for j, theta in enumerate((iv.a, mesh[1000] + half_tol, mesh[1000] - half_tol))
+        ]
+        for bound_fn in (aposteriori_bounds, funvec_aposteriori):
+            lower, upper = bound_fn(stand_ins, XLOGX, iv)
+            for j, s in enumerate(stand_ins):
+                assert (lower[j], upper[j]) == bound_fn(s, XLOGX, iv)
+        for s in stand_ins:
+            self._check(s, XLOGX, iv)
+
     def test_spectrum_recomputed_after_each_step(self, rng):
         a, _, _ = random_spd(30, rng)
         iv = SpectralInterval(0.5, 3.0)

@@ -11,9 +11,13 @@ from vnentropy.estimators import (
     DenseProvider,
     KrylovEntropyProvider,
     NonConvergenceError,
+    STREAM_OMEGA,
     _hutchinson_tail,
+    _rank_revealing_orth,
     _required_hutch_samples,
     gaussian_vector,
+    hutchinson,
+    hutchpp,
 )
 from vnentropy.generators import barabasi_albert_adjacency, grid2d_adjacency
 from vnentropy.krylov import (
@@ -129,6 +133,47 @@ class TestGroupsMatchSingleRuns:
         assert_bitwise(group, singles)
 
 
+class TestPinnedResults:
+    """Values and iteration counts recorded before the lockstep groups
+    shared one stacked state, when every vector was orthogonalized on its
+    own: (value, poly_iters, rational_iters, dim, switched_at)."""
+
+    BA = [
+        (4.273317000828898, 15, 0, 15, -1),
+        (4.140175443545358, 15, 0, 15, -1),
+        (3.997059387409259, 15, 0, 15, -1),
+        (5.935318222560223, 16, 0, 16, -1),
+        (4.776537036794784, 15, 0, 15, -1),
+        (3.308283948449268, 16, 0, 16, -1),
+    ]
+    PATH = [
+        (5.337370804219144, 10, 9, 19, 10),
+        (5.520709639688059, 17, 9, 26, 17),
+        (5.9765425955631715, 9, 9, 18, 9),
+    ]
+
+    @staticmethod
+    def _check(results, pinned):
+        for res, (value, poly, rat, dim, switched) in zip(results, pinned, strict=True):
+            assert (res.poly_iters, res.rational_iters, res.dim, res.switched_at) == (poly, rat, dim, switched)
+            assert abs(res.value - value) <= 1e-14 * abs(value)
+
+    def test_ba_density(self):
+        rho = laplacian_density(barabasi_albert_adjacency(150, 2, 11))
+        iv = laplacian_interval(rho)
+        block = np.random.default_rng(11).standard_normal((rho.n, 6))
+        self._check(desingularized_quadform(rho, block, ENTROPY, iv, 1e-7, pole_source=eds_poles(iv, 40)), self.BA)
+
+    def test_path_bound_stop_rational_phase(self):
+        rho = laplacian_density(path_graph(200))
+        iv = laplacian_interval(rho)
+        block = np.random.default_rng(200).standard_normal((rho.n, 3))
+        results = desingularized_quadform(
+            rho, block, ENTROPY, iv, 1e-9, pole_source=eds_poles(iv, 40), stop="bound"
+        )
+        self._check(results, self.PATH)
+
+
 class _FixedSpectrum:
     """Decomposition stand-in with a prescribed projected spectrum."""
 
@@ -173,6 +218,27 @@ class TestProviderBlocks:
         singles = [provider.quadform(block[:, j]) for j in range(7)]
         assert np.allclose(provider.quadform(block), singles, rtol=1e-13)
         assert np.allclose(provider.apply(block), np.column_stack([provider.apply(block[:, j]) for j in range(7)]))
+
+
+    def test_fixed_size_estimators_match_serial_replay(self):
+        # hutchinson and hutchpp feed blocks; the old one-vector-at-a-time
+        # loops, summed the same way, must give the same bits
+        rho = laplacian_density(barabasi_albert_adjacency(120, 2, 15))
+        n = rho.n
+        block_provider, serial_provider = KrylovEntropyProvider(rho), KrylovEntropyProvider(rho)
+        total = 0.0
+        for j in range(20):
+            total += serial_provider.quadform(gaussian_vector(3, STREAM_HUTCH, j, n))
+        assert hutchinson(block_provider, 20, seed=3) == total / 20
+        y = np.column_stack([serial_provider.apply(gaussian_vector(4, STREAM_OMEGA, j, n)) for j in range(5)])
+        q = _rank_revealing_orth(y)
+        t_low = sum(serial_provider.quadform(q[:, i]) for i in range(q.shape[1]))
+        total = 0.0
+        for j in range(7):
+            x = gaussian_vector(4, STREAM_HUTCH, j, n)
+            total += serial_provider.quadform(x - q @ (q.T @ x))
+        assert hutchpp(block_provider, 5, 7, seed=4) == float(t_low + total / 7)
+        assert block_provider.poly_iters == serial_provider.poly_iters
 
 
 def _serial_tail(provider, eps_hat, delta, seed, tol, q=None, spent=0, max_total=10_000):
