@@ -7,7 +7,6 @@ and the a posteriori error bounds are available after every iteration.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import weakref
@@ -24,23 +23,18 @@ TINY = np.finfo(float).tiny
 
 BREAKDOWN_TOL = 1e-14
 SWAP_RESIDUAL_TOL = 1e-10
-DEFAULT_MESH = 2000
 RITZ_CLUSTER_TOL = 1e-14
 DEFAULT_M_MAX = 150
 SWITCH_WINDOW = 3          # paper's ell
 SWITCH_FACTOR = 0.75       # paper's c
 BASIS_CAP = 18             # basis vectors allocated up front; doubled as needed
 # A lockstep group holds as many vectors as their (BASIS_CAP + 1) x n start
-# bases fit in GROUP_BYTES. The per-iteration eigh, bound mesh and loop cost
+# bases fit in GROUP_BYTES. The per-iteration eigh, bound and loop cost
 # is fixed per group, so wider groups spread it over more vectors. The bases
 # are streamed row by row and need not stay in cache; what caps the budget
 # is peak memory, which grows by about the budget itself. 2.5 MiB gives 16
 # vectors at n = 1024, 4 at n = 3600 and 1 at n = 14400.
 GROUP_BYTES = 2560 * 1024
-# The bound kernel's (m, rows, N) temporaries are swept several times per
-# evaluation, so each is cut to row blocks of at most TEMP_BYTES, which
-# keeps the three of them within a core's L2 cache.
-TEMP_BYTES = 213 * 1024
 
 
 @dataclass(frozen=True)
@@ -530,182 +524,246 @@ def _clamp_ritz(theta):
     return np.where((theta < 0) & (theta >= -tol), 0.0, theta)
 
 
-@functools.lru_cache(maxsize=8)
-def _base_mesh(a: float, b: float, grid: int, fun: FunctionTriple):
-    """Read-only geometric mesh of [a, b] (0 plus a geometric tail when
-    a = 0) and f on it, built once per (interval, grid, function)."""
-    if a > 0:
-        mesh = np.geomspace(a, b, grid)
-    else:
-        lo = max(b * 1e-16, np.finfo(float).tiny)
-        mesh = np.concatenate([[0.0], np.geomspace(lo, b, grid - 1)])
-    fz = np.asarray(fun.f(mesh), dtype=np.float64)
-    mesh.flags.writeable = False
-    fz.flags.writeable = False
-    return mesh, fz
+# The error kernels are sums over the Ritz values th_j of divided differences
+# of f = x log x (XLOGX; ENTROPY flips their sign, not their size):
+#   g_m(z) = sum_j c2_j f[th_j, th_j, z] + c1_j f[th_j, z]
+# with c2 = (alpha beta)^2 and c1 = 2 alpha beta gamma for the quadratic form,
+# and h_m, the same with c2 = 0 and c1 = alpha beta, for f(A) b.
+SUP_RTOL = 1e-9       # an h_m cell closes once its bound is within this of the largest sample
+RITZ_FLOOR = 1e-150   # smaller Ritz values count as this: f[th, th, z, z] ~ 1 / th^2 stays finite
+BOUND_CELLS = 64      # geometric cells of [a, b] before any refinement
+BOUND_SPLIT = 8       # an open cell or piece is cut into this many
+BOUND_POINTS = 2048   # cells and pieces per spectrum; past it the open ones' bounds are kept
+BOUND_ORDER = 16      # Taylor terms of h_m about the centre of a refined cell
+_TERMS = 20           # Taylor terms in t = (z - th) / th, |t| <= 1/4
+_n = np.arange(_TERMS)
+# -th f[th, th, z], -th f[th, z, z] and th^2 f[th, th, z, z] as power series
+# in -t, from f^(k)(th) / k! = (-1)^k / (k (k - 1) th^(k - 1)) for k >= 2
+_SERIES = -np.stack([1.0 / ((_n + 1) * (_n + 2)), 1.0 / (_n + 2), (_n + 1) / ((_n + 2) * (_n + 3))])
+# c^k f[th, c, ..., c] (k + 1 copies of c) as power series in (th - c) / c:
+# row k holds c^(n - 1) f^(n)(c) / n! for n = k + 1, k + 2, ...; row 0 lacks
+# its first term, log c + 1
+_q = np.arange(BOUND_ORDER + _TERMS + 2)
+_OMEGA = np.where(_q >= 2, (-1.0) ** _q / np.maximum(_q * (_q - 1), 1), 0.0)
+_HANKEL = _OMEGA[np.arange(BOUND_ORDER + 1)[:, None] + _n + 1]
+# a polynomial's coefficients on [-1, 1] to those on each of its BOUND_SPLIT
+# equal pieces, centred at u_i: sum_k a_k (u_i + v / BOUND_SPLIT)^k
+_o = np.arange(BOUND_ORDER)
+_u = (2.0 * np.arange(BOUND_SPLIT) + 1.0) / BOUND_SPLIT - 1.0
+_SHIFT = (np.array([[math.comb(k, l) for k in _o] for l in _o], dtype=float)
+          * _u[:, None, None] ** np.maximum(_o - _o[:, None], 0) * (1.0 / BOUND_SPLIT) ** _o[:, None])
 
 
-_WINDOW = np.array([-2.0, 2.0])[:, None, None]
-
-
-def _bound_points(interval: SpectralInterval, theta, grid: int, fun: FunctionTriple):
-    """(mesh, f_mesh, z, fz, near): the points the bounds of k spectra theta
-    (k, m) are evaluated on. Row i is evaluated on N + m points: the cached
-    sorted base mesh of N points, shared by all rows, then the row's own
-    Ritz values z[i]. A Ritz value outside [a, b] is replaced by a, which
-    is the first mesh point already, so the min/max over a row do not
-    change.
-
-    ``near`` holds the indices (j, i, p) of the points p of row i within
-    1e-8 b of max(theta[i, j], TINY), where the kernels substitute their
-    limits. The mesh is searched around each theta, the Ritz values are
-    compared whole.
-    """
-    a, b = interval.a, interval.b
-    tol = 1e-8 * max(b, 1e-300)
-    mesh, f_mesh = _base_mesh(a, b, grid, fun)
-    outside = ~((theta >= a) & (theta <= b))
-    z = np.where(outside, a, theta)
-    fz = np.asarray(fun.f(z), dtype=np.float64)
-    fz[outside] = f_mesh[0]
-    theta = np.maximum(theta, TINY).T
-    j, i, p = np.nonzero(np.abs(z[None, :, :] - theta[:, :, None]) <= tol)
-    p += mesh.size
-    lo, hi = np.searchsorted(mesh, theta + _WINDOW * tol)
-    for jj, ii in zip(*np.nonzero(hi > lo)):
-        cand = np.arange(lo[jj, ii], hi[jj, ii])
-        cand = cand[np.abs(mesh[cand] - theta[jj, ii]) <= tol]
-        j, i, p = (np.concatenate([j, np.full(cand.size, jj)]),
-                   np.concatenate([i, np.full(cand.size, ii)]),
-                   np.concatenate([p, cand]))
-    return mesh, f_mesh, z, fz, (j, i, p)
-
-
-def _work(scratch, shape, count: int):
-    """``count`` float work arrays of the given shape, cut from one buffer
-    in the ``scratch`` dict of an adaptive run, or allocated when scratch
-    is None.
-
-    Fresh (m, rows, N) temporaries above malloc's mmap threshold would be
-    mapped and page-faulted in on every bound evaluation; a run's buffer
-    grows (at least doubling) to the largest request and is reused by each
-    of its evaluations.
-    """
-    size = math.prod(shape)
-    if scratch is None:
-        return np.empty((count,) + shape)
-    buf = scratch.get("work")
-    if buf is None or buf.size < count * size:
-        buf = scratch["work"] = np.empty(count * size if buf is None else max(count * size, 2 * buf.size))
-    return buf[: count * size].reshape((count,) + shape)
-
-
-def _divided_differences(mesh, f_mesh, z, fz, theta, fth, near, dz, ratio):
-    """Fill dz = z - theta_j, 1 at the near points (where the caller
-    substitutes the limit), and the divided differences
-    ratio = (f(z) - f(theta_j)) / dz, both (m, rows, N + m), over the points
-    of _bound_points: the shared mesh (N,) by broadcasting, then each row's
-    Ritz values z (rows, m). theta and fth are (m, rows)."""
-    n = mesh.size
-    np.subtract(mesh, theta[:, :, None], out=dz[:, :, :n])
-    np.subtract(z[None, :, :], theta[:, :, None], out=dz[:, :, n:])
-    dz[near] = 1.0
-    np.subtract(f_mesh, fth[:, :, None], out=ratio[:, :, :n])
-    np.subtract(fz[None, :, :], fth[:, :, None], out=ratio[:, :, n:])
-    ratio /= dz
-
-
-def _pairwise_sum(t):
-    """Sums over the first axis of t, added in the order numpy's pairwise
-    summation adds a contiguous row of m (eight interleaved partial sums
-    from m = 8, halves above 128), so the sums match a row sum bitwise while
-    each step is one vector operation over the remaining axes. The first
-    eight rows of t serve as the partial sums and are overwritten."""
-    m = t.shape[0]
-    if m < 8:
-        return t.sum(axis=0)
-    if m > 128:
-        half = m // 2 - (m // 2) % 8
-        return _pairwise_sum(t[:half]) + _pairwise_sum(t[half:])
-    body = m - m % 8
-    r = t[:8]
-    for i in range(8, body, 8):
-        r += t[i : i + 8]
-    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(body, m):
-        res += t[i]
-    return res
-
-
-@contextlib.contextmanager
-def _row_buffer(width: int):
-    """numpy's ufunc buffer cut to at most ``width`` elements, the length of
-    a bound mesh row.
-
-    With the default 8192 elements, numpy's iterator copies an operand that
-    broadcasts one value per row into its buffer whenever rows are shorter
-    than the buffer, which makes the bound kernels' per-row operations
-    about three times slower. Elementwise results and the reductions the
-    adaptive loop makes do not depend on the buffer size.
-    """
-    old = np.setbufsize(max(16, min(8192, width - width % 16)))
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
-
-
-def _row_blocks(near, k: int, m: int, width: int):
-    """(rows, near) pairs: row slices of k spectra whose (m, rows, width)
-    temporaries fit in TEMP_BYTES, at least one row each, with the near
-    points that fall in them, rows renumbered."""
-    step = max(1, TEMP_BYTES // (8 * m * width))
-    j, i, p = near
-    blocks = []
-    for lo in range(0, k, step):
-        if i.size:
-            sel = (i >= lo) & (i < lo + step)
-            near = (j[sel], i[sel] - lo, p[sel])
-        blocks.append((slice(lo, min(lo + step, k)), near))
-    return blocks
-
-
-def gm_kernel(points, theta, alpha, beta, fun: FunctionTriple, degraded=None, scratch=None):
-    """Evaluate g_m (second-order quadratic-form kernel) for k spectra at
-    once: theta, alpha, beta are (k, m), ``points`` is _bound_points' result
-    for theta, and the result is (k, N + m). Rows flagged in ``degraded``
-    drop the gamma coupling terms; ``scratch`` is as in aposteriori_bounds.
-    Each row is bitwise the kernel of its spectrum alone."""
-    theta = np.maximum(theta, TINY)
-    fth = np.asarray(fun.f(theta), dtype=np.float64).T
-    dfth = np.asarray(fun.df(theta), dtype=np.float64).T
-    d2fth = np.asarray(fun.d2f(theta), dtype=np.float64).T
+def _kernel_spectra(theta, c1, c2):
+    """What _split_values takes of k spectra: theta (at least RITZ_FLOOR), f and
+    f' there, theta / 4, and the weights (k, 2, 2m) of the increasing and
+    the decreasing part. c2 >= 0."""
     k, m = theta.shape
-    ab = alpha * beta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / (theta[:, :, None] - theta[:, None, :])
-    inv.reshape(k, m * m)[:, :: m + 1] = 0.0
-    gammas = (ab[:, None, :] * inv).sum(axis=2)
-    if degraded is not None:
-        gammas[degraded] = 0.0
-    theta, alpha, beta, ab, gammas = theta.T, alpha.T, beta.T, ab.T, gammas.T
-    ab2 = ab**2
-    coupling = 2.0 * (ab * gammas)
-    limit = 0.5 * ab2 * d2fth + 2.0 * alpha * beta * gammas * dfth
-    mesh, f_mesh, z, fz, near = points
-    width = mesh.size + m
-    g = np.empty((k, width))
-    for r, near_r in _row_blocks(near, k, m, width):
-        dz, ratio, term = _work(scratch, (m, r.stop - r.start, width), 3)
-        _divided_differences(mesh, f_mesh, z[r], fz[r], theta[:, r], fth[:, r], near_r, dz, ratio)
-        np.subtract(ratio, dfth[:, r, None], out=term)
-        term /= dz
-        term *= ab2[:, r, None]
-        ratio *= coupling[:, r, None]
-        term += ratio
-        term[near_r] = limit[:, r][near_r[:2]]
-        g[r] = _pairwise_sum(term)
-    return g
+    log_theta = np.log(theta)
+    weights = np.zeros((k, 2, 2 * m))
+    np.maximum(c1, 0.0, out=weights[:, 0, :m])
+    np.minimum(c1, 0.0, out=weights[:, 1, :m])
+    np.negative(c2, out=weights[:, 1, m:])
+    return theta, theta * log_theta, log_theta + 1.0, 0.25 * theta, weights
+
+
+def _split_values(z, theta, fth, dfth, quarter, weights):
+    """Increasing and decreasing parts of the kernel and of minus its
+    derivative at the points z (R, P) of R spectra, as v (R, 2, 2, P):
+    v[:, 0] for the kernel, v[:, 1] for minus its derivative, each
+    (increasing part, decreasing part); the spectra are as _kernel_spectra
+    gives them.
+
+    By f'' > 0, f''' < 0 and f'''' > 0, the divided differences f[th, z],
+    -f[th, th, z], -f[th, z, z] and f[th, th, z, z] all increase in z. With
+    w = (c1, -c2), the kernel is (f[th, z], -f[th, th, z]) . w and minus its
+    derivative (-f[th, z, z], f[th, th, z, z]) . w, so the positive entries
+    of w give the increasing part and the negative ones the decreasing
+    part. Where |z - th| <= th / 4 the differences come from their Taylor
+    series, elsewhere from the recurrences. Each spectrum's values are
+    bitwise those of its points alone.
+    """
+    R, P = z.shape
+    m = theta.shape[1]
+    x = np.empty((4, R, m, P))
+    d1, d2, e1, e2 = x
+    d = z[:, None, :] - theta[:, :, None]
+    near = np.flatnonzero(np.abs(d) <= quarter[:, :, None])
+    pair = near // P
+    dn, thn = d.take(near), theta.take(pair)
+    d.put(near, 1.0)
+    lz = np.log(np.maximum(z, TINY))
+    np.subtract((z * lz)[:, None, :], fth[:, :, None], out=d1)
+    d1 /= d                                        # f[th, z]
+    np.subtract(dfth[:, :, None], d1, out=d2)
+    d2 /= d                                        # -f[th, th, z]
+    np.subtract(d1, (lz + 1.0)[:, None, :], out=e1)
+    e1 /= d                                        # -f[th, z, z]
+    np.subtract(d2, e1, out=e2)
+    e2 /= d                                        # f[th, th, z, z]
+    powers = np.empty((near.size, _TERMS))
+    powers[:, 0] = 1.0
+    np.negative((dn / thn)[:, None], out=powers[:, 1:])
+    np.cumprod(powers, axis=1, out=powers)
+    s = np.empty((4, near.size))
+    np.vecdot(powers[:, None, :], _SERIES, out=s[1:].T)
+    s[1:] /= thn
+    s[3] /= thn
+    np.subtract(dfth.take(pair), dn * s[1], out=s[0])
+    x.reshape(4, -1)[:, near] = s
+    x = x.reshape(2, 2, R, m, P).transpose(2, 0, 1, 3, 4).reshape(R, 2, 2 * m, P)
+    return np.matmul(weights[:, None], x)
+
+
+@functools.lru_cache(maxsize=8)
+def _cell_ends(a: float, b: float):
+    """The BOUND_CELLS + 1 geometric cell ends of [a, b], read-only; for
+    a = 0, 0 and then a geometric tail from 1e-16 b."""
+    if a > 0:
+        ends = np.geomspace(a, b, BOUND_CELLS + 1)
+    else:
+        ends = np.concatenate([[0.0], np.geomspace(max(b * 1e-16, TINY), b, BOUND_CELLS)])
+    ends.flags.writeable = False
+    return ends
+
+
+def _cell_bounds(z, v, h):
+    """Upper bounds (R, P - 1) of |h| on the cells between consecutive
+    points z (R, P), from h and its split values v (R, 2, 2, P) there.
+
+    h = P + Q and -h' = A + B, P and A increasing, Q and B decreasing, so on
+    a cell [z0, z1] h lies in [P(z0) + Q(z1), P(z1) + Q(z0)] and -h' in
+    [A(z0) + B(z1), A(z1) + B(z0)]. Where the latter excludes 0 the cell is
+    monotone and its bound is the larger end value; f' is unbounded at 0,
+    so a cell starting there never is. Otherwise the bound is the larger
+    magnitude of the former's ends.
+    """
+    absh = np.abs(h)
+    (p, q), (a, b) = v[:, 0].transpose(1, 0, 2), v[:, 1].transpose(1, 0, 2)
+    monotone = ((a[:, 1:] + b[:, :-1]) * (a[:, :-1] + b[:, 1:]) > 0) & (z[:, :-1] > 0)
+    return np.where(monotone, np.maximum(absh[:, :-1], absh[:, 1:]),
+                    np.maximum(p[:, 1:] + q[:, :-1], -p[:, :-1] - q[:, 1:]))
+
+
+def _taylor(c, theta, c1):
+    """Taylor coefficients of h_m about the points c (N,) in powers of
+    (z - c) / c, for the spectra theta, c1 (N, m): (d_k for k < BOUND_ORDER
+    (N, BOUND_ORDER), the larger of the parts of d_BOUND_ORDER from positive
+    and from negative c1 (N,)). d_k = sum_j c1_j c^k f[th_j, c^(k+1)], with
+    c^(k+1) for k + 1 copies of c, is taken from the series in (th - c) / c
+    within c / 4 of th, elsewhere from f[th, c^(k+1)] = (f^(k)(c) / k! -
+    f[th, c^(k)]) / (c - th)."""
+    cc = c[:, None]
+    lc = np.log(cc)
+    tau = theta / cc - 1.0
+    near = np.abs(tau) <= 0.25
+    delta = np.where(near, 1.0, -tau)
+    t = np.empty(theta.shape + (BOUND_ORDER + 1,))
+    t[..., 0] = (cc * lc - theta * np.log(theta)) / (cc * delta)
+    for k in range(1, BOUND_ORDER + 1):
+        t[..., k] = ((lc + 1.0 if k == 1 else _OMEGA[k]) - t[..., k - 1]) / delta
+    powers = np.empty((near.sum(), _TERMS))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = tau[near, None]
+    np.cumprod(powers, axis=1, out=powers)
+    t[near] = (powers[:, None, :] * _HANKEL).sum(axis=2)
+    t[near, 0] += np.broadcast_to(lc + 1.0, tau.shape)[near]
+    terms = c1[:, :, None] * t
+    last = np.abs(terms[:, :, -1])
+    return terms[:, :, :-1].sum(axis=1), np.maximum(last.sum(axis=1, where=c1 > 0), last.sum(axis=1, where=c1 < 0))
+
+
+def _piece_bounds(a):
+    """(upper bound, largest value found) of |p| on [-1, 1] for the
+    polynomials p(u) = sum_k a_k u^k, the rows of a. Where |a_1| exceeds
+    sum_k k |a_k| over k >= 2, p is monotone and the bound is the larger end
+    value; otherwise it is the largest |a_0 + a_1 u + a_2 u^2| (at an end
+    or at the vertex) plus sum_k |a_k| over k >= 3."""
+    mag = np.abs(a)
+    ends = np.maximum(np.abs(a.sum(axis=1)), np.abs((a * (-1.0) ** _o).sum(axis=1)))
+    vertex = np.divide(-a[:, 1], 2.0 * a[:, 2], out=np.zeros(len(a)), where=a[:, 2] != 0).clip(-1.0, 1.0)
+    quad = np.maximum(np.abs(a[:, 0] + a[:, 2] + a[:, 1]), np.abs(a[:, 0] + a[:, 2] - a[:, 1]))
+    np.maximum(quad, np.abs(a[:, 0] + vertex * (a[:, 1] + vertex * a[:, 2])), out=quad)
+    monotone = mag[:, 1] > (mag[:, 2:] * _o[2:]).sum(axis=1)
+    bound = np.where(monotone, ends, quad + mag[:, 3:].sum(axis=1))
+    return bound, np.maximum(ends, np.abs((a * vertex[:, None] ** _o).sum(axis=1)))
+
+
+def _certified_sup(theta, c1, interval: SpectralInterval):
+    """(smallest sample, certified sup) of |h_m| over [a, b] for k spectra,
+    h_m(z) = sum_j c1_j f[th_j, z]; theta (>= RITZ_FLOOR) and c1 are (k, m).
+
+    Level 0 bounds the cells between the cell ends (_cell_ends) and the
+    Ritz values in [a, b] (_cell_bounds); a cell whose bound exceeds
+    1 + SUP_RTOL times the largest sample stays open. An open cell [z0, z1],
+    z0 > 0, becomes a piece: h_m's Taylor polynomial of degree p - 1 about
+    the centre c, p = BOUND_ORDER. As f[th, z] = int_0^inf 1 / (1 + t) -
+    t / ((th + t) (z + t)) dt, the rest is -(c - z)^p sum_j c1_j int_0^inf
+    t dt / ((th_j + t) (c + t)^p (z + t)); for |z - c| <= r it is at most
+    r^p (c / z0) times the larger of the positive-c1 and negative-c1 parts
+    of the next coefficient. While that exceeds SUP_RTOL / 2 times the
+    largest sample, the cell is first cut into BOUND_SPLIT geometric cells.
+    Open pieces are cut into BOUND_SPLIT equal pieces (_piece_bounds), and
+    a cell from 0 at z1 / BOUND_SPLIT. Past BOUND_POINTS cells and pieces
+    per spectrum the open ones' bounds are kept. The inf is the smallest
+    level-0 sample. Each spectrum's result is bitwise its own alone.
+    """
+    k, m = theta.shape
+    a, b = interval.a, interval.b
+    ends = _cell_ends(a, b)
+    z = np.empty((k, ends.size + m))
+    z[:, : ends.size] = ends
+    np.minimum(np.maximum(theta, a, out=z[:, ends.size :]), b, out=z[:, ends.size :])
+    z.sort(axis=1)
+    spectra = _kernel_spectra(theta, c1, np.zeros_like(theta))
+    v = _split_values(z, *spectra)
+    h = v[:, 0, 0] + v[:, 0, 1]
+    absh = np.abs(h)
+    lower, top = absh.min(axis=1), absh.max(axis=1)
+    bound = _cell_bounds(z, v, h)
+    open_ = bound > (1.0 + SUP_RTOL) * top[:, None]
+    if not open_.any():
+        return lower, np.maximum(top, bound.max(axis=1))
+    upper = np.maximum(top, np.where(open_, 0.0, bound).max(axis=1))
+    row, c = np.nonzero(open_)
+    z0, z1, cap = z[row, c], z[row, c + 1], bound[row, c]
+    prow, coef, rem, pcap = np.empty(0, dtype=int), np.empty((0, BOUND_ORDER)), np.empty(0), np.empty(0)
+    points = np.full(k, z.shape[1])
+    while row.size or prow.size:
+        points += np.bincount(row, minlength=k) + np.bincount(prow, minlength=k)
+        over, pover = points[row] > BOUND_POINTS, points[prow] > BOUND_POINTS
+        np.maximum.at(upper, row[over], cap[over])
+        np.maximum.at(upper, prow[pover], pcap[pover])
+        row, z0, z1, cap = (x[~over] for x in (row, z0, z1, cap))
+        prow, coef, rem, pcap = (x[~pover] for x in (prow, coef, rem, pcap))
+        zero = z0 == 0
+        zr, cut = row[zero], z1[zero] / BOUND_SPLIT
+        zv = _split_values(np.stack([z0[zero], cut], axis=1), *(x[zr] for x in spectra))
+        zh = zv[:, 0, 0] + zv[:, 0, 1]
+        np.maximum.at(top, zr, np.abs(zh[:, 1]))
+        zb = np.minimum(_cell_bounds(np.zeros_like(zh), zv, zh)[:, 0], cap[zero])
+        pr, p0, p1, pc = (x[~zero] for x in (row, z0, z1, cap))
+        centre, ratio = 0.5 * (p0 + p1), (p1 - p0) / (p1 + p0)
+        d, last = _taylor(centre, theta[pr], c1[pr])
+        np.maximum.at(top, pr, np.abs(d[:, 0]))
+        e = 2.0 * ratio**BOUND_ORDER * (centre / p0) * last   # twice the rest, for the recurrence's rounding
+        fine = e <= 0.5 * SUP_RTOL * top[pr]
+        cells = p0[~fine, None] * (p1 / p0)[~fine, None] ** (np.arange(BOUND_SPLIT + 1) / BOUND_SPLIT)
+        prow, rem, pcap = (np.concatenate([x, y[fine]]) for x, y in ((prow, pr), (rem, e), (pcap, pc)))
+        coef = np.concatenate([coef, d[fine] * ratio[fine, None] ** _o])
+        pb, found = _piece_bounds(coef)
+        np.maximum.at(top, prow, found - rem)
+        pb = np.minimum(pb + rem, pcap)
+        zopen, shut = zb > (1.0 + SUP_RTOL) * top[zr], pb <= (1.0 + SUP_RTOL) * top[prow]
+        np.maximum.at(upper, zr[~zopen], zb[~zopen])
+        np.maximum.at(upper, prow[shut], pb[shut])
+        prow, rem, pcap = (x[~shut].repeat(BOUND_SPLIT) for x in (prow, rem, pb))
+        coef = (coef[~shut, None, None, :] * _SHIFT).sum(axis=3).reshape(-1, BOUND_ORDER)
+        row = np.concatenate([zr[zopen], zr, pr[~fine].repeat(BOUND_SPLIT)])
+        z0 = np.concatenate([np.zeros(zopen.sum()), cut, cells[:, :-1].ravel()])
+        z1 = np.concatenate([cut[zopen], z1[zero], cells[:, 1:].ravel()])
+        cap = np.concatenate([zb[zopen], cap[zero], pc[~fine].repeat(BOUND_SPLIT)])
+    return lower, np.maximum(upper, top)
 
 
 def _stacked_spectra(decomps):
@@ -720,55 +778,67 @@ def _stacked_spectra(decomps):
     return theta, alpha, beta, members, single
 
 
-def aposteriori_bounds(
-    decomps, fun: FunctionTriple, interval: SpectralInterval, grid: int = DEFAULT_MESH, scratch=None
-):
-    """Lower/upper bounds ||b||^2 (min, max) |g_m| over the spectral interval.
+def _x_log_x_family(fun: FunctionTriple):
+    """The bounds rest on the signs of the derivatives of x log x."""
+    if fun is not ENTROPY and fun is not XLOGX:
+        raise ValueError("a posteriori bounds are available for ENTROPY and XLOGX only")
+
+
+def aposteriori_bounds(decomps, fun: FunctionTriple, interval: SpectralInterval):
+    """Lower/upper bounds ||b||^2 (min, max) |g_m| over the spectral interval
+    [a, b], for f = ENTROPY or XLOGX (ValueError for any other f), with
+    g_m(z) = sum_j (alpha_j beta_j)^2 f[th_j, th_j, z]
+    + 2 alpha_j beta_j gamma_j f[th_j, z].
+
+    Both are exact, up to rounding: they are |g_m| at a and at b. For
+    f = x log x and positive Ritz values th_j (those below RITZ_FLOOR count
+    as RITZ_FLOOR), partial fractions give g_m(z) = int_0^inf t phi(t)^2 /
+    (z + t) dt with phi(t) = sum_j alpha_j beta_j / (t + th_j), so g_m is
+    positive and decreasing on [0, inf). The accuracy is set by rounding in
+    the sum of the terms: where they exceed g_m a millionfold, |g_m(a)|
+    carries a relative error of a few 1e-10.
 
     Takes one decomposition and returns floats, or an ArnoldiGroup or a
     list of decompositions sharing m and returns arrays. Clustered Ritz
     values (gap <= 1e-14 b) make the gamma coupling terms ill-defined; they
-    are then dropped for that decomposition and its lower bound degrades to
-    0. ``scratch`` is a dict whose work arrays successive calls reuse, or
-    None.
+    are then dropped for that decomposition, which keeps g_m positive and
+    decreasing, and its lower bound degrades to 0.
     """
+    _x_log_x_family(fun)
     theta, alpha, beta, members, single = _stacked_spectra(decomps)
     gaps = np.diff(np.sort(theta, axis=1), axis=1)
     degraded = gaps.min(axis=1, initial=np.inf) <= RITZ_CLUSTER_TOL * interval.b
-    points = _bound_points(interval, theta, grid, fun)
-    absg = np.abs(gm_kernel(points, theta, alpha, beta, fun, degraded, scratch))
+    theta = np.maximum(theta, RITZ_FLOOR)
+    ab = alpha * beta
+    diff = theta[:, :, None] - theta[:, None, :]
+    inv = np.divide(1.0, diff, out=np.zeros_like(diff), where=diff != 0)
+    gammas = (ab[:, None, :] * inv).sum(axis=2)
+    gammas[degraded] = 0.0
+    v = _split_values(np.array([[interval.a, interval.b]]).repeat(len(theta), axis=0),
+                      *_kernel_spectra(theta, 2.0 * (ab * gammas), ab * ab))
+    g = np.abs(v[:, 0, 0] + v[:, 0, 1])
     scale = np.array([d.b_norm**2 for d in members])
-    lower = np.where(degraded, 0.0, scale * absg.min(axis=1))
-    upper = scale * absg.max(axis=1)
+    lower = np.where(degraded, 0.0, scale * g[:, 1])
+    upper = scale * g[:, 0]
     return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 
 
-def funvec_aposteriori(
-    decomps, fun: FunctionTriple, interval: SpectralInterval, grid: int = DEFAULT_MESH, scratch=None
-):
+def funvec_aposteriori(decomps, fun: FunctionTriple, interval: SpectralInterval):
     """First-order bounds ||b|| (min, max) |h_m| for the f(A) b error, with
-    h_m(z) = sum_j alpha_j beta_j (f(z) - f(theta_j)) / (z - theta_j).
-    Takes what aposteriori_bounds takes and returns the same way; scratch
-    is as there."""
+    h_m(z) = sum_j alpha_j beta_j f[th_j, z], for f = ENTROPY or XLOGX
+    (ValueError for any other f).
+
+    The upper bound is certified (_certified_sup): up to rounding it is at
+    least the sup of |h_m| over all of [a, b], and at most 1 + 1e-9 times
+    it unless the spectrum used up its budget of cells and pieces (the
+    bound is then looser, never lower). The lower bound is sampled, not
+    certified: the min over the cell ends and the Ritz values in [a, b].
+    Takes what aposteriori_bounds takes and returns the same way."""
+    _x_log_x_family(fun)
     theta, alpha, beta, members, single = _stacked_spectra(decomps)
-    k, m = theta.shape
-    mesh, f_mesh, z, fz, near = _bound_points(interval, theta, grid, fun)
-    theta = np.maximum(theta, TINY)
-    fth = np.asarray(fun.f(theta), dtype=np.float64).T
-    dfth = np.asarray(fun.df(theta), dtype=np.float64).T
-    ab = (alpha * beta).T
-    theta = theta.T
-    width = mesh.size + m
-    h = np.empty((k, width))
-    for r, near_r in _row_blocks(near, k, m, width):
-        dz, ratio = _work(scratch, (m, r.stop - r.start, width), 2)
-        _divided_differences(mesh, f_mesh, z[r], fz[r], theta[:, r], fth[:, r], near_r, dz, ratio)
-        ratio[near_r] = dfth[:, r][near_r[:2]]
-        ratio *= ab[:, r, None]
-        h[r] = _pairwise_sum(ratio)
-    absh = np.abs(h)
+    lower, upper = _certified_sup(np.maximum(theta, RITZ_FLOOR), alpha * beta, interval)
     b_norm = np.array([d.b_norm for d in members])
-    lower, upper = b_norm * absh.min(axis=1), b_norm * absh.max(axis=1)
+    lower, upper = b_norm * lower, b_norm * upper
     return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 
 
@@ -860,7 +930,6 @@ def _run_adaptive(
     m_max: int,
     want_vector: bool,
     keep_trace: bool,
-    grid: int,
 ) -> list:
     """The adaptive loop, one QuadformResult per start vector.
 
@@ -877,52 +946,50 @@ def _run_adaptive(
         raise ValueError(f"unknown stop criterion {stop!r}")
     bound_fn = funvec_aposteriori if want_vector else aposteriori_bounds
     width = group_size(operator.n)
-    scratch: dict = {}
     runs = []
-    with _row_buffer(grid):
-        for lo in range(0, len(vectors), width):
-            decomps = RationalArnoldiDecomposition.lockstep(operator, vectors[lo : lo + width])
-            group = decomps[0]._group
-            live = [_Run(d, tol) for d, tol in zip(decomps, tols[lo : lo + width])]
-            runs += live
-            while live:
-                group_spectrum(group)
-                lowers, uppers = bound_fn(group, fun, interval, grid=grid, scratch=scratch)
-                m = live[0].decomp.eval_dim
-                poles, done = [], []
-                for i, (r, lower, upper) in enumerate(zip(live, lowers.tolist(), uppers.tolist())):
-                    d = r.decomp
-                    est = gm_estimate(lower, upper)
-                    stat = upper if stop == "bound" else est
-                    r.history.append(stat)
-                    if keep_trace:
-                        r.trace.append((m, d.poles[-1], lower, upper, est, quadform_value(d, fun)))
-                    converged = d.exhausted or (m >= 2 and stat <= r.tol)
-                    if converged or m >= m_max:
-                        r.finish(fun, converged, lower, upper, est, want_vector)
-                        poles.append(None)
-                        done.append(i)
-                        continue
-                    h = r.history
-                    if (
-                        r.switched_at < 0
-                        and pole_source is not None
-                        and len(h) >= SWITCH_WINDOW + 2
-                        and h[-1] >= SWITCH_FACTOR**SWITCH_WINDOW * h[-SWITCH_WINDOW - 2]
-                    ):
-                        r.switched_at = m
-                    if r.switched_at < 0 or pole_source is None:
-                        poles.append(INF)
-                    else:
-                        poles.append(pole_source[r.rational_index % len(pole_source)])
-                        r.rational_index += 1
-                for i in reversed(done):
-                    group.remove(i)
-                    live[i], poles[i] = live[-1], poles[-1]
-                    live.pop()
-                    poles.pop()
-                if live:
-                    group.step(poles)
+    for lo in range(0, len(vectors), width):
+        decomps = RationalArnoldiDecomposition.lockstep(operator, vectors[lo : lo + width])
+        group = decomps[0]._group
+        live = [_Run(d, tol) for d, tol in zip(decomps, tols[lo : lo + width])]
+        runs += live
+        while live:
+            group_spectrum(group)
+            lowers, uppers = bound_fn(group, fun, interval)
+            m = live[0].decomp.eval_dim
+            poles, done = [], []
+            for i, (r, lower, upper) in enumerate(zip(live, lowers.tolist(), uppers.tolist())):
+                d = r.decomp
+                est = gm_estimate(lower, upper)
+                stat = upper if stop == "bound" else est
+                r.history.append(stat)
+                if keep_trace:
+                    r.trace.append((m, d.poles[-1], lower, upper, est, quadform_value(d, fun)))
+                converged = d.exhausted or (m >= 2 and stat <= r.tol)
+                if converged or m >= m_max:
+                    r.finish(fun, converged, lower, upper, est, want_vector)
+                    poles.append(None)
+                    done.append(i)
+                    continue
+                h = r.history
+                if (
+                    r.switched_at < 0
+                    and pole_source is not None
+                    and len(h) >= SWITCH_WINDOW + 2
+                    and h[-1] >= SWITCH_FACTOR**SWITCH_WINDOW * h[-SWITCH_WINDOW - 2]
+                ):
+                    r.switched_at = m
+                if r.switched_at < 0 or pole_source is None:
+                    poles.append(INF)
+                else:
+                    poles.append(pole_source[r.rational_index % len(pole_source)])
+                    r.rational_index += 1
+            for i in reversed(done):
+                group.remove(i)
+                live[i], poles[i] = live[-1], poles[-1]
+                live.pop()
+                poles.pop()
+            if live:
+                group.step(poles)
     return [r.result for r in runs]
 
 
@@ -946,7 +1013,6 @@ def adaptive_quadform(
     stop: str = "estimate",
     m_max: int = DEFAULT_M_MAX,
     keep_trace: bool = False,
-    grid: int = DEFAULT_MESH,
 ):
     """b^T f(A) b with polynomial iterations switching to the pole source
     when the error reduction stalls (est_k / est_{k-4} >= 0.75^3), stopping
@@ -959,7 +1025,7 @@ def adaptive_quadform(
     vectors, single = _columns(b)
     results = _run_adaptive(
         operator, vectors, fun, interval, _tolerances(tol_abs, len(vectors)), pole_source,
-        stop, m_max, want_vector=False, keep_trace=keep_trace, grid=grid,
+        stop, m_max, want_vector=False, keep_trace=keep_trace,
     )
     return results[0] if single else results
 
@@ -973,14 +1039,13 @@ def adaptive_funvec(
     pole_source: PoleSequence | None = None,
     stop: str = "estimate",
     m_max: int = DEFAULT_M_MAX,
-    grid: int = DEFAULT_MESH,
 ):
     """f(A) b to absolute 2-norm tolerance tol_abs, same pole management;
     an (n, k) block gives a list of k results."""
     vectors, single = _columns(b)
     results = _run_adaptive(
         operator, vectors, fun, interval, _tolerances(tol_abs, len(vectors)), pole_source,
-        stop, m_max, want_vector=True, keep_trace=False, grid=grid,
+        stop, m_max, want_vector=True, keep_trace=False,
     )
     return results[0] if single else results
 
@@ -995,7 +1060,6 @@ def desingularized_quadform(
     stop: str = "estimate",
     m_max: int = DEFAULT_M_MAX,
     operator: ShiftedOperator | None = None,
-    grid: int = DEFAULT_MESH,
 ):
     """b^T f(rho) b for a graph-Laplacian density matrix via implicit
     desingularization: the start vector c = b - (1^T b / n) 1 is orthogonal
@@ -1026,7 +1090,7 @@ def desingularized_quadform(
             todo.append((j, c))
     runs = _run_adaptive(
         op, [c for _, c in todo], fun, interval, [tols[j] for j, _ in todo], pole_source,
-        stop, m_max, want_vector=False, keep_trace=False, grid=grid,
+        stop, m_max, want_vector=False, keep_trace=False,
     )
     for (j, _), res in zip(todo, runs):
         res.value += f0 * vectors[j].sum() ** 2 / n

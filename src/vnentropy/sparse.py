@@ -101,7 +101,7 @@ def from_coo(n, rows, cols, vals, is_pattern=False) -> SparseSymMatrix:
         if dup.any():
             raise MatrixFormatError("duplicate entry in coordinate data")
     row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(row_ptr, rows + 1, 1)
+    row_ptr[1:] = np.bincount(rows, minlength=n)
     np.cumsum(row_ptr, out=row_ptr)
     mat = SparseSymMatrix(n, row_ptr, cols, vals, is_pattern)
     _check_structural_symmetry(mat)
@@ -109,15 +109,14 @@ def from_coo(n, rows, cols, vals, is_pattern=False) -> SparseSymMatrix:
 
 
 def _check_structural_symmetry(mat: SparseSymMatrix) -> None:
-    rows = np.repeat(np.arange(mat.n), np.diff(mat.row_ptr))
-    fw = np.lexsort((mat.col_idx, rows))
-    bw = np.lexsort((rows, mat.col_idx))
-    if not (
-        np.array_equal(rows[fw], mat.col_idx[bw])
-        and np.array_equal(mat.col_idx[fw], rows[bw])
-    ):
+    """Raise unless the transpose has the same entries. The storage order
+    is by row, then strictly increasing column, so a stable sort by column
+    gives the transpose's storage order."""
+    rows = mat._row_indices()
+    bw = np.argsort(mat.col_idx, kind="stable")
+    if not (np.array_equal(rows, mat.col_idx[bw]) and np.array_equal(mat.col_idx, rows[bw])):
         raise MatrixFormatError("matrix is not structurally symmetric")
-    if not np.allclose(mat.values[fw], mat.values[bw], rtol=0, atol=0):
+    if not np.array_equal(mat.values, mat.values[bw]):
         raise MatrixFormatError("unequal (i,j)/(j,i) values")
 
 

@@ -126,11 +126,15 @@ class TestGroupsMatchSingleRuns:
         block = rng.standard_normal((rho.n, 13))
         kwargs = dict(pole_source=eds_poles(iv, 40))
         singles = _desingularized_pair(rho, block, [1e-8] * 13, **kwargs)[1]
+        # f(A) b over [0, b] on the singular matrix: its certified sup cuts
+        # cells, a different number in each spectrum of a group
+        op, wide = krylov.ShiftedOperator(rho.matrix), SpectralInterval(0.0, iv.b)
+        funvec_singles = [adaptive_funvec(op, block[:, j], ENTROPY, wide, 1e-8) for j in range(13)]
         monkeypatch.setattr(krylov, "GROUP_BYTES", 3 * 8 * rho.n * (krylov.BASIS_CAP + 1))
-        monkeypatch.setattr(krylov, "TEMP_BYTES", 8 * 2 * 2100)
         assert group_size(rho.n) == 3
         group = desingularized_quadform(rho, block, ENTROPY, iv, 1e-8, **kwargs)
         assert_bitwise(group, singles)
+        assert_bitwise(adaptive_funvec(op, block, ENTROPY, wide, 1e-8), funvec_singles)
 
 
 class TestPinnedResults:
@@ -144,12 +148,35 @@ class TestPinnedResults:
         (3.997059387409259, 15, 0, 15, -1),
         (5.935318222560223, 16, 0, 16, -1),
         (4.776537036794784, 15, 0, 15, -1),
-        (3.308283948449268, 16, 0, 16, -1),
+        # one step fewer than with the 2000-point mesh, whose max at m = 15
+        # was a rounding spike 1e-6 relative from a Ritz value, 7.9 times
+        # the true sup |g_m(a)|; the extra step had taken the error from
+        # 6.2e-8 to 2.1e-8, and test_ba_density checks that 6.2e-8 is still
+        # within the tolerance and the bounds
+        (3.308283990018914, 15, 0, 15, -1),
     ]
     PATH = [
         (5.337370804219144, 10, 9, 19, 10),
         (5.520709639688059, 17, 9, 26, 17),
         (5.9765425955631715, 9, 9, 18, 9),
+    ]
+    # recorded before the bounds were certified over the whole interval
+    # instead of sampled on a 2000-point mesh: the bound kernel must not
+    # move a value or an iteration count
+    FUNVEC = [
+        (4.453506700451016, 28, 0, 28, -1),
+        (4.030368452873237, 27, 0, 27, -1),
+        (4.388517534276506, 28, 0, 28, -1),
+        (4.048056493431822, 28, 0, 28, -1),
+        (4.722877689904533, 28, 0, 28, -1),
+    ]
+    FUNVEC_NORMS = [0.42677893013300794, 0.40436476734096255, 0.47827114123029085,
+                    0.4296539356417097, 0.49828620381225464]
+    GRID = [
+        (6.099278855469368, 16, 4, 20, 16),
+        (6.1189182085627785, 17, 4, 21, 17),
+        (5.387839745161474, 13, 5, 18, 13),
+        (6.792495602168951, 15, 5, 20, 15),
     ]
 
     @staticmethod
@@ -162,7 +189,13 @@ class TestPinnedResults:
         rho = laplacian_density(barabasi_albert_adjacency(150, 2, 11))
         iv = laplacian_interval(rho)
         block = np.random.default_rng(11).standard_normal((rho.n, 6))
-        self._check(desingularized_quadform(rho, block, ENTROPY, iv, 1e-7, pole_source=eds_poles(iv, 40)), self.BA)
+        results = desingularized_quadform(rho, block, ENTROPY, iv, 1e-7, pole_source=eds_poles(iv, 40))
+        self._check(results, self.BA)
+        w, u = np.linalg.eigh(rho.matrix.todense())
+        w = np.maximum(w, 0.0)
+        exact = (-w * np.log(np.where(w > 0, w, 1.0))) @ (u.T @ block) ** 2
+        for res, psi in zip(results, exact):
+            assert res.bound_lower <= abs(res.value - psi) <= min(res.bound_upper, 1e-7)
 
     def test_path_bound_stop_rational_phase(self):
         rho = laplacian_density(path_graph(200))
@@ -172,6 +205,25 @@ class TestPinnedResults:
             rho, block, ENTROPY, iv, 1e-9, pole_source=eds_poles(iv, 40), stop="bound"
         )
         self._check(results, self.PATH)
+
+    def test_ba_funvec_zero_left_end(self):
+        # f(A) b on the singular Laplacian density over [0, b]: the a = 0 tail
+        rho = laplacian_density(barabasi_albert_adjacency(150, 2, 11))
+        iv = SpectralInterval(0.0, laplacian_interval(rho).b)
+        block = np.random.default_rng(12).standard_normal((rho.n, 5))
+        results = adaptive_funvec(krylov.ShiftedOperator(rho.matrix), block, ENTROPY, iv, 1e-7)
+        self._check(results, self.FUNVEC)
+        for res, norm in zip(results, self.FUNVEC_NORMS, strict=True):
+            assert abs(np.linalg.norm(res.vector) - norm) <= 1e-14 * norm
+
+    def test_grid_bound_stop_rational_phase(self):
+        rho = laplacian_density(grid2d_adjacency(20))
+        iv = laplacian_interval(rho)
+        block = np.random.default_rng(20).standard_normal((rho.n, 4))
+        results = desingularized_quadform(
+            rho, block, ENTROPY, iv, 1e-10, pole_source=eds_poles(iv, 40), stop="bound"
+        )
+        self._check(results, self.GRID)
 
 
 class _FixedSpectrum:
