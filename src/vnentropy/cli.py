@@ -19,7 +19,6 @@ from .estimators import (
     fit_probing_model,
 )
 from .generators import parse_generator_spec
-from .krylov import ENTROPY
 from .sparse import (
     DensityMatrix,
     MatrixFormatError,
@@ -221,13 +220,13 @@ def cmd_entropy(args):
     if args.seed is not None:
         report["seed"] = args.seed
     _write_out(json.dumps(report, indent=2) + "\n", args.json)
-    if est.solve_count == 0:
+    if est.rational_iters == 0:
         print("solver: unused", file=sys.stderr)
     else:
         print(
             f"solver: backend={est.solver_backend} factors={est.factorizations} "
             f"fill={est.fill_ratio if est.fill_ratio is not None else 'n/a'} "
-            f"solves={est.solve_count}",
+            f"solves={est.rational_iters}",
             file=sys.stderr,
         )
     return 0
@@ -275,7 +274,7 @@ def cmd_probing_sweep(args):
         raise CliError("probing sweep needs the dense oracle (n <= 5000)", EXIT_CONFIG)
     exact = dense_entropy_oracle(density.matrix)
     interval = laplacian_interval(density)
-    provider = KrylovEntropyProvider(density, ENTROPY, interval=interval)
+    provider = KrylovEntropyProvider(density, interval)
     eps_hat = args.eps * exact / 2
     rows = ["d,colors,abs_error,apriori_bound,model_estimate,consecutive_diff"]
     values = {}

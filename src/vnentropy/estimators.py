@@ -16,11 +16,11 @@ from .coloring import Coloring, make_coloring, probing_vector_dense
 from .krylov import (
     ENTROPY,
     FunctionTriple,
-    PoleSequence,
     QuadformResult,
     ShiftedOperator,
     adaptive_funvec,
     adaptive_quadform,
+    desingularized_columns,
     desingularized_quadform,
     eds_poles,
     group_size,
@@ -78,47 +78,32 @@ class DenseProvider:
 
 
 class KrylovEntropyProvider:
-    """B = f(rho) accessed through the rational Krylov engine.
+    """B = f(rho) for f = ENTROPY, accessed through the rational Krylov engine.
 
     Quadratic forms and matvecs run with implicit desingularization when the
     matrix annihilates the ones vector (graph Laplacian densities). Both take
     a vector or an (n, k) block; a block runs in lockstep groups of at most
     ``group_size`` columns, with results bitwise those of one column at a time.
+    Shifted solves go to a PoleSolver with the given backend.
     """
+
+    QUADFORM_TOL = 1e-8   # absolute tolerances when a call gives none
+    FUNVEC_TOL = 1e-6
 
     def __init__(
         self,
         density: DensityMatrix,
-        fun: FunctionTriple = ENTROPY,
         interval: SpectralInterval | None = None,
-        pole_source: PoleSequence | None = None,
-        operator: ShiftedOperator | None = None,
         stop: str = "estimate",
-        quadform_tol: float = 1e-8,
-        funvec_tol: float = 1e-6,
-        m_max: int = 150,
-        desingularize: bool | None = None,
+        solver_backend: str = "auto",
     ):
         self.density = density
-        self.fun = fun
         self.n = density.n
-        if interval is None:
-            interval = laplacian_interval(density)
-        self.interval = interval
-        if pole_source is None and interval.a > 0:
-            pole_source = eds_poles(interval, 40)
-        self.pole_source = pole_source
-        self.op = operator if operator is not None else ShiftedOperator(density.matrix)
+        self.interval = laplacian_interval(density) if interval is None else interval
+        self.pole_source = eds_poles(self.interval, 40) if self.interval.a > 0 else None
+        self.op = ShiftedOperator(density.matrix, PoleSolver(density.matrix, solver_backend))
         self.stop = stop
-        self.quadform_tol = quadform_tol
-        self.funvec_tol = funvec_tol
-        self.m_max = m_max
-        if desingularize is None:
-            ones = np.ones(self.n)
-            desingularize = (
-                float(np.abs(self.density.matrix.matvec(ones)).max()) <= 1e-12
-            )
-        self.desingularize = desingularize
+        self.desingularize = float(np.abs(density.matrix.matvec(np.ones(self.n))).max()) <= 1e-12
         self.group_size = group_size(self.n)
         self.poly_iters = 0
         self.rational_iters = 0
@@ -136,17 +121,16 @@ class KrylovEntropyProvider:
     def quadform(self, x, tol_abs=None):
         """x^T f(rho) x for a vector, or an array of the column forms of an
         (n, k) block; tol_abs may then hold one tolerance per column."""
-        tol = self.quadform_tol if tol_abs is None else tol_abs
+        tol = self.QUADFORM_TOL if tol_abs is None else tol_abs
         if self.desingularize:
             res = desingularized_quadform(
-                self.density, x, self.fun, self.interval, tol,
-                pole_source=self.pole_source, stop=self.stop,
-                m_max=self.m_max, operator=self.op,
+                self.density, x, ENTROPY, self.interval, tol,
+                pole_source=self.pole_source, stop=self.stop, operator=self.op,
             )
         else:
             res = adaptive_quadform(
-                self.op, x, self.fun, self.interval, tol,
-                pole_source=self.pole_source, stop=self.stop, m_max=self.m_max,
+                self.op, x, ENTROPY, self.interval, tol,
+                pole_source=self.pole_source, stop=self.stop,
             )
         if isinstance(res, QuadformResult):
             self._account([res])
@@ -156,34 +140,20 @@ class KrylovEntropyProvider:
 
     def apply(self, x, tol_abs=None) -> np.ndarray:
         """f(rho) x for a vector, or column-wise for an (n, k) block."""
-        tol = self.funvec_tol if tol_abs is None else tol_abs
+        tol = self.FUNVEC_TOL if tol_abs is None else tol_abs
         x = np.asarray(x, dtype=np.float64)
-        block = x if x.ndim == 2 else x[:, None]
-        out = np.zeros(block.shape)
-        starts, cols = [], []
-        for j in range(block.shape[1]):
-            xj = np.ascontiguousarray(block[:, j])
-            if self.desingularize:
-                c = xj - xj.sum() / self.n
-                if np.linalg.norm(c) <= 1e-14 * np.linalg.norm(xj):
-                    continue
-                xj = c
-            starts.append(xj)
-            cols.append(j)
-        if starts:
+        rows = np.ascontiguousarray(np.atleast_2d(x.T))   # one row per column of x
+        todo = desingularized_columns(rows, self.n) if self.desingularize else list(enumerate(rows))
+        out = np.zeros((self.n, len(rows)))
+        if todo:
             results = adaptive_funvec(
-                self.op, np.column_stack(starts), self.fun, self.interval, tol,
-                pole_source=self.pole_source, stop=self.stop, m_max=self.m_max,
+                self.op, np.column_stack([c for _, c in todo]), ENTROPY, self.interval, tol,
+                pole_source=self.pole_source, stop=self.stop,
             )
             self._account(results)
-            for j, res in zip(cols, results):
+            for (j, _), res in zip(todo, results):
                 out[:, j] = res.vector
         return out if x.ndim == 2 else out[:, 0]
-
-    @property
-    def factorizations(self) -> int:
-        solver = self.op.solver
-        return solver.factorization_count if solver is not None else 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +230,6 @@ class HeuristicFit:
     deltas: tuple
     fits: dict
     d_star: int
-    valid: bool
     fallback: bool
     trace_values: dict
 
@@ -326,7 +295,6 @@ class EntropyEstimate:
     seed: int | None = None
     heuristic: HeuristicFit | None = None
     solver_backend: str = "direct"
-    solve_count: int = 0
     fill_ratio: float | None = None
 
 
@@ -349,28 +317,21 @@ def heuristic_select_d(
     p2 = run_probing(2, eps_hat)
     p3 = run_probing(3, eps_hat)
     delta1, delta2 = abs(p2 - p1), abs(p3 - p2)
+    fallback = False
     if delta1 <= eps_hat and delta2 <= eps_hat:
         # differences already below the Krylov noise floor: d = 3 suffices
-        return HeuristicFit(
-            deltas=(delta1, delta2),
-            fits={},
-            d_star=3,
-            valid=True,
-            fallback=False,
-            trace_values={1: p1, 2: p2, 3: p3},
-        )
-    fits, d_star = fit_probing_model(delta1, delta2, eps_hat, d_max)
-    valid = bool(fits)
-    fallback = not valid
-    if fallback:
-        d_star = select_d_apriori(
-            density.n, provider.interval.a, provider.interval.b, eps_hat, d_max, cap
-        )
+        fits, d_star = {}, 3
+    else:
+        fits, d_star = fit_probing_model(delta1, delta2, eps_hat, d_max)
+        fallback = not fits
+        if fallback:
+            d_star = select_d_apriori(
+                density.n, provider.interval.a, provider.interval.b, eps_hat, d_max, cap
+            )
     return HeuristicFit(
         deltas=(delta1, delta2),
         fits=fits,
         d_star=d_star,
-        valid=valid,
         fallback=fallback,
         trace_values={1: p1, 2: p2, 3: p3},
     )
@@ -399,12 +360,8 @@ def entropy_probing(
         raise ValueError(f"unknown mode {mode!r}")
     t0 = time.perf_counter()
     n = density.n
-    if interval is None:
-        interval = laplacian_interval(density)
-    operator = ShiftedOperator(density.matrix, PoleSolver(density.matrix, backend=solver_backend))
-    provider = KrylovEntropyProvider(
-        density, ENTROPY, interval=interval, operator=operator, stop=stop
-    )
+    provider = KrylovEntropyProvider(density, interval, stop, solver_backend)
+    interval = provider.interval
     colorings: dict = {}
 
     def coloring_at(d):
@@ -445,23 +402,23 @@ def entropy_probing(
         d=d_star,
         colors=coloring.num_colors,
         class_sizes=(int(coloring.class_sizes().min()), int(coloring.class_sizes().max())),
-        poly_iters=provider.poly_iters,
-        rational_iters=provider.rational_iters,
-        factorizations=provider.factorizations,
-        wall_time_s=time.perf_counter() - t0,
         heuristic=fit,
-        **_solver_stats(operator),
+        **_engine_stats(provider, t0),
     )
 
 
-def _solver_stats(operator):
-    solver = operator.solver
-    if solver is None:
-        return {"solver_backend": "direct", "solve_count": 0, "fill_ratio": None}
+def _engine_stats(provider: KrylovEntropyProvider, t0: float) -> dict:
+    """The EntropyEstimate fields that entropy_probing and entropy_hutchpp
+    fill alike: Krylov iteration counts, shifted-solver use and the wall
+    time since t0."""
+    solver = provider.op.solver
     fill = solver.cache.fill_ratio
     return {
+        "poly_iters": provider.poly_iters,
+        "rational_iters": provider.rational_iters,
+        "factorizations": solver.factorization_count,
+        "wall_time_s": time.perf_counter() - t0,
         "solver_backend": solver.backend,
-        "solve_count": solver.solve_count,
         "fill_ratio": None if fill is None else round(fill, 3),
     }
 
@@ -491,26 +448,36 @@ def _rank_revealing_orth(y: np.ndarray):
     return q[:, : int(keep.sum())]
 
 
+def _sketch(provider, q, first: int, count: int, seed: int, apply_tol=None, form_tol=None):
+    """One Hutch++ sketch round: Y = B [w_first, ..., w_{first+count-1}] for
+    Gaussian w_j keyed by (seed, STREAM_OMEGA, j), projected off range(q)
+    and orthonormalized to Q. Returns Q and the forms q_i^T B q_i."""
+    n = provider.n
+    y = _applies(
+        provider, count, lambda j: gaussian_vector(seed, STREAM_OMEGA, first + j, n), apply_tol
+    )
+    q_new = _rank_revealing_orth(y - q @ (q.T @ y))
+    return q_new, _quadforms(provider, q_new.shape[1], lambda i: q_new[:, i], form_tol)
+
+
+def _deflated(seed: int, j: int, n: int, q) -> np.ndarray:
+    """Hutchinson vector j, keyed by (seed, STREAM_HUTCH, j), projected off
+    range(q) when q is given."""
+    x = gaussian_vector(seed, STREAM_HUTCH, j, n)
+    return x if q is None else x - q @ (q.T @ x)
+
+
 def hutchpp(provider, n_rank: int, n_hutch: int, seed: int) -> float:
     """Hutch++: trace of the rank-N_r sketch plus Hutchinson on the deflated
     remainder; N_r matvecs and N_r + N_H quadratic forms."""
     if n_rank < 1:
         raise ValueError("n_rank must be at least 1")
     n = provider.n
-    y = _applies(provider, n_rank, lambda j: gaussian_vector(seed, STREAM_OMEGA, j, n))
-    q = _rank_revealing_orth(y)
-    t_low = sum(_quadforms(provider, q.shape[1], lambda i: q[:, i]))
+    q, forms = _sketch(provider, np.zeros((n, 0)), 0, n_rank, seed)
+    t_low = float(np.sum(forms))
     if n_hutch == 0:
-        return float(t_low)
-
-    def deflated(j):
-        x = gaussian_vector(seed, STREAM_HUTCH, j, n)
-        return x - q @ (q.T @ x)
-
-    total = 0.0
-    for value in _quadforms(provider, n_hutch, deflated):
-        total += value
-    return float(t_low + total / n_hutch)
+        return t_low
+    return t_low + float(np.mean(_quadforms(provider, n_hutch, lambda j: _deflated(seed, j, n, q))))
 
 
 def _required_hutch_samples(samples, eps_hat, delta, inflation_cap=20.0):
@@ -535,38 +502,38 @@ def adaptive_hutchpp(
     delta: float,
     seed: int,
     max_total: int = MAX_TOTAL_VECTORS,
-    quadform_tol=None,
-    apply_tol=None,
+    eps_kry: float | None = None,
+    max_rank: int = MAX_TOTAL_VECTORS,
 ):
     """Adaptive Hutch++: grow the low-rank sketch while the variance
     reduction per deflation vector outweighs its cost, then run Hutchinson
     on the deflated operator until the estimated tail bound holds.
 
-    Returns (estimate, N_r, N_H). The deflation floor is 3 matvecs.
+    The first round sketches MIN_DEFLATION vectors, and later rounds never
+    take the sketch past max_rank vectors: max_rank = MIN_DEFLATION is
+    fixed-rank Hutch++ with an adaptive Hutchinson tail.
+
+    eps_kry splits the Krylov budget: every apply runs to eps_kry, each of
+    the `block` forms of round r = 1, 2, ... to eps_kry 2^-(r+1) / block,
+    and each Hutchinson form to eps_kry / 4. Without eps_kry the provider's
+    default tolerances apply.
+
+    Returns (estimate, N_r, N_H).
     """
     if eps_hat <= 0 or not 0 < delta < 1:
         raise ValueError("need eps_hat > 0 and delta in (0, 1)")
     n = provider.n
     z = ndtri(1.0 - delta / 4.0)
     q = np.zeros((n, 0))
-    captured: list = []
     t_low = 0.0
     n_rank = 0
-    omega_count = 0
     block = MIN_DEFLATION
     round_idx = 0
     while True:
         round_idx += 1
-        first = omega_count
-        tol = apply_tol(round_idx) if apply_tol is not None else None
-        y = _applies(provider, block, lambda j: gaussian_vector(seed, STREAM_OMEGA, first + j, n), tol)
-        omega_count += block
-        y = y - q @ (q.T @ y)
-        q_new = _rank_revealing_orth(y)
-        tol = quadform_tol("rank", round_idx, block) if quadform_tol is not None else None
-        round_forms = _quadforms(provider, q_new.shape[1], lambda i: q_new[:, i], tol)
+        form_tol = None if eps_kry is None else eps_kry * 0.5 ** (round_idx + 1) / block
+        q_new, round_forms = _sketch(provider, q, n_rank, block, seed, eps_kry, form_tol)
         t_low += float(np.sum(round_forms))
-        captured.extend(round_forms)
         q = np.hstack([q, q_new])
         n_rank += block
         if n_rank + MIN_HUTCH_SAMPLES >= max_total:
@@ -577,10 +544,10 @@ def adaptive_hutchpp(
         saving = z * z * 2.0 * q_min**2 / eps_hat**2
         if saving <= DEFLATION_COST_RATIO or q_new.shape[1] < block:
             break
-        block = min(n_rank, n - n_rank, max_total // 2 - n_rank)
+        block = min(n_rank, n - n_rank, max_total // 2 - n_rank, max_rank - n_rank)
         if block <= 0:
             break
-    tol = quadform_tol("hutch", 0, 1) if quadform_tol is not None else None
+    tol = None if eps_kry is None else eps_kry / 4.0
     samples = _hutchinson_tail(provider, eps_hat, delta, seed, tol, q, n_rank, max_total)
     estimate = t_low + float(np.mean(samples))
     return estimate, n_rank, len(samples)
@@ -599,11 +566,6 @@ def _hutchinson_tail(
     rule one at a time, so the samples are those of a one-at-a-time loop.
     """
     n = provider.n
-
-    def vector(j):
-        x = gaussian_vector(seed, STREAM_HUTCH, j, n)
-        return x if q is None else x - q @ (q.T @ x)
-
     samples: list = []
     while _wants_sample(samples, eps_hat, delta):
         room = max_total - spent - len(samples)
@@ -611,7 +573,7 @@ def _hutchinson_tail(
             raise NonConvergenceError(f"Hutchinson samples exceeded the vector budget {max_total}")
         count = _sure_samples(samples, eps_hat, delta, min(provider.group_size, room))
         first = len(samples)
-        for value in _quadforms(provider, count, lambda t: vector(first + t), tol):
+        for value in _quadforms(provider, count, lambda t: _deflated(seed, first + t, n, q), tol):
             if not _wants_sample(samples, eps_hat, delta):
                 break
             samples.append(value)
@@ -654,44 +616,26 @@ def entropy_hutchpp(
 ) -> EntropyEstimate:
     """Stochastic estimate of S(rho): a 10-sample Hutchinson pilot fixes the
     scale, half the relative budget goes to the trace estimator and half to
-    the Krylov tolerances."""
+    the Krylov tolerances. "hutchpp" is adaptive Hutch++ held at the
+    MIN_DEFLATION-vector sketch."""
+    if method not in ("adaptive-hutchpp", "hutchpp", "hutchinson"):
+        raise ValueError(f"unknown method {method!r}")
     t0 = time.perf_counter()
     n = density.n
-    if interval is None:
-        interval = laplacian_interval(density)
-    operator = ShiftedOperator(density.matrix, PoleSolver(density.matrix, backend=solver_backend))
-    provider = KrylovEntropyProvider(
-        density, ENTROPY, interval=interval, operator=operator, stop=stop
-    )
+    provider = KrylovEntropyProvider(density, interval, stop, solver_backend)
     pilot_tol = 0.05 * max(np.log(max(n, 2)), 1.0)
     pilot = _quadforms(provider, 10, lambda j: gaussian_vector(seed, STREAM_PILOT, j, n), pilot_tol)
     pre = max(float(np.mean(pilot)), 1e-12)
     eps_est = eps_rel * pre / 2
     eps_kry = eps_rel * pre / 2
-
-    def quadform_tol(kind, round_idx, block):
-        if kind == "rank":
-            return eps_kry * 0.5 ** (round_idx + 1) / block
-        return eps_kry / 4.0
-
-    def apply_tol(round_idx):
-        return eps_kry
-
-    if method == "adaptive-hutchpp":
-        value, n_rank, n_hutch = adaptive_hutchpp(
-            provider, eps_est, delta, seed,
-            quadform_tol=quadform_tol, apply_tol=apply_tol,
-        )
-    elif method == "hutchpp":
-        # one deflation round at the floor size, then the adaptive tail
-        value, n_rank, n_hutch = _fixed_rank_hutchpp(
-            provider, eps_est, delta, seed, quadform_tol, apply_tol
-        )
-    elif method == "hutchinson":
-        samples = _hutchinson_tail(provider, eps_est, delta, seed, quadform_tol("hutch", 0, 1))
+    if method == "hutchinson":
+        samples = _hutchinson_tail(provider, eps_est, delta, seed, eps_kry / 4.0)
         value, n_rank, n_hutch = float(np.mean(samples)), 0, len(samples)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        max_rank = MIN_DEFLATION if method == "hutchpp" else MAX_TOTAL_VECTORS
+        value, n_rank, n_hutch = adaptive_hutchpp(
+            provider, eps_est, delta, seed, eps_kry=eps_kry, max_rank=max_rank
+        )
     return EntropyEstimate(
         value=value,
         method=method,
@@ -701,25 +645,6 @@ def entropy_hutchpp(
         rough_pre_estimate=pre,
         n_rank=n_rank,
         n_hutch=n_hutch,
-        poly_iters=provider.poly_iters,
-        rational_iters=provider.rational_iters,
-        factorizations=provider.factorizations,
-        wall_time_s=time.perf_counter() - t0,
         seed=seed,
-        **_solver_stats(operator),
+        **_engine_stats(provider, t0),
     )
-
-
-def _fixed_rank_hutchpp(provider, eps_hat, delta, seed, quadform_tol, apply_tol):
-    n = provider.n
-    y = _applies(
-        provider, MIN_DEFLATION, lambda j: gaussian_vector(seed, STREAM_OMEGA, j, n), apply_tol(1)
-    )
-    q = _rank_revealing_orth(y)
-    t_low = sum(
-        _quadforms(provider, q.shape[1], lambda i: q[:, i], quadform_tol("rank", 1, MIN_DEFLATION))
-    )
-    samples = _hutchinson_tail(
-        provider, eps_hat, delta, seed, quadform_tol("hutch", 0, 1), q, MIN_DEFLATION
-    )
-    return float(t_low + np.mean(samples)), MIN_DEFLATION, len(samples)

@@ -39,11 +39,9 @@ GROUP_BYTES = 2560 * 1024
 
 @dataclass(frozen=True)
 class FunctionTriple:
-    """Scalar function with first and second derivatives, vectorized."""
+    """Vectorized scalar function whose matrix function the engine forms."""
 
     f: callable
-    df: callable
-    d2f: callable
 
 
 def _xlogx(x):
@@ -57,17 +55,9 @@ def _xlogx(x):
     return out
 
 
-XLOGX = FunctionTriple(
-    f=_xlogx,
-    df=lambda x: np.log(np.maximum(x, TINY)) + 1.0,
-    d2f=lambda x: 1.0 / np.maximum(x, TINY),
-)
+XLOGX = FunctionTriple(f=_xlogx)
 
-ENTROPY = FunctionTriple(
-    f=lambda x: -_xlogx(x),
-    df=lambda x: -(np.log(np.maximum(x, TINY)) + 1.0),
-    d2f=lambda x: -1.0 / np.maximum(x, TINY),
-)
+ENTROPY = FunctionTriple(f=lambda x: -_xlogx(x))
 
 
 @dataclass(frozen=True)
@@ -1050,6 +1040,18 @@ def adaptive_funvec(
     return results[0] if single else results
 
 
+def desingularized_columns(vectors, n: int) -> list:
+    """(j, c_j) for each start vector b_j whose part off the ones vector,
+    c_j = b_j - (1^T b_j / n) 1, is not negligible: ||c_j|| > 1e-14 ||b_j||.
+    The other columns lie in the kernel of a graph-Laplacian density."""
+    out = []
+    for j, b in enumerate(vectors):
+        c = b - b.sum() / n
+        if np.linalg.norm(c) > 1e-14 * np.linalg.norm(b):
+            out.append((j, c))
+    return out
+
+
 def desingularized_quadform(
     density: DensityMatrix,
     b,
@@ -1071,23 +1073,21 @@ def desingularized_quadform(
     n = density.n
     op = operator if operator is not None else ShiftedOperator(density.matrix)
     f0 = float(np.asarray(fun.f(np.array([0.0])))[0])
-    results = [None] * len(vectors)
-    todo = []
-    for j, bj in enumerate(vectors):
-        c = bj - bj.sum() / n
-        if np.linalg.norm(c) <= 1e-14 * np.linalg.norm(bj):
-            results[j] = QuadformResult(
-                value=f0 * float(bj @ bj),
-                poly_iters=0,
-                rational_iters=0,
-                bound_lower=0.0,
-                bound_upper=0.0,
-                estimate=0.0,
-                converged=True,
-                tol=tols[j],
-            )
-        else:
-            todo.append((j, c))
+    # a column in the kernel has b^T f(rho) b = f(0) ||b||^2
+    results = [
+        QuadformResult(
+            value=f0 * float(bj @ bj),
+            poly_iters=0,
+            rational_iters=0,
+            bound_lower=0.0,
+            bound_upper=0.0,
+            estimate=0.0,
+            converged=True,
+            tol=tol,
+        )
+        for bj, tol in zip(vectors, tols)
+    ]
+    todo = desingularized_columns(vectors, n)
     runs = _run_adaptive(
         op, [c for _, c in todo], fun, interval, [tols[j] for j, _ in todo], pole_source,
         stop, m_max, want_vector=False, keep_trace=False,

@@ -44,7 +44,10 @@ class FactorCache:
 
     matrix: SparseSymMatrix
     factors: dict = field(default_factory=dict)
-    factor_count: int = 0
+
+    @property
+    def factor_count(self) -> int:
+        return len(self.factors)
 
     @property
     def fill_ratio(self) -> float | None:
@@ -91,7 +94,6 @@ def factorize(mat: SparseSymMatrix, xi: float, cache: FactorCache) -> PoleFactor
     lu = _lu_spd(mat, -xi)
     factor = PoleFactor(xi=xi, lu=lu, fill_ratio=lu.L.nnz / max(1, mat.nnz))
     cache.factors[xi] = factor
-    cache.factor_count = len(cache.factors)
     return factor
 
 
@@ -152,18 +154,14 @@ class PoleSolver:
         mat: SparseSymMatrix,
         backend: str = "auto",
         fill_threshold: float = 50.0,
-        cg_tol: float = 1e-10,
-        cache: FactorCache | None = None,
     ):
         if backend not in ("direct", "cg", "auto"):
             raise ValueError(f"unknown backend {backend!r}")
         self.matrix = mat
-        self.cache = cache if cache is not None else FactorCache(matrix=mat)
+        self.cache = FactorCache(matrix=mat)
         self.requested_backend = backend
         self.fill_threshold = fill_threshold
-        self.cg_tol = cg_tol
         self._resolved = backend if backend != "auto" else None
-        self.solve_count = 0
 
     @property
     def backend(self) -> str:
@@ -172,14 +170,13 @@ class PoleSolver:
 
     def solve_spd_shift(self, tau: float, y: np.ndarray) -> np.ndarray:
         """x with (tau I + A) x = y, tau > 0."""
-        self.solve_count += 1
         if self._resolved != "cg":
             factor = factorize(self.matrix, -tau, self.cache)
             if self._resolved is None:
                 self._resolved = "cg" if factor.fill_ratio > self.fill_threshold else "direct"
             if self._resolved == "direct":
                 return factor.solve_spd(y)
-        return -cg_solve(self.matrix, -tau, y, tol_rel=self.cg_tol)
+        return -cg_solve(self.matrix, -tau, y)
 
     @property
     def factorization_count(self) -> int:

@@ -194,7 +194,7 @@ def test_criterion_5_krylov_exactness():
                 denom = denom * (1 - x / xi)
             return np.polyval(coef, x) / denom**2
 
-        fun = FunctionTriple(f=f_rat, df=None, d2f=None)
+        fun = FunctionTriple(f=f_rat)
         decomp = RationalArnoldiDecomposition(DenseOperator(a), b)
         for xi in poles:
             decomp.step(xi)

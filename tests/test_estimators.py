@@ -243,6 +243,19 @@ class TestAdaptiveHutchpp:
         )
         assert n_rank_tight > n_rank_loose
 
+    def test_max_rank_holds_the_sketch(self, rng):
+        # the operator of test_tight_tolerance_grows_rank at a tolerance
+        # where the unlimited sketch grows past the first round
+        rho = laplacian_density(random_connected_graph(300, 360, rng))
+        b = dense_entropy_matrix(rho)
+        exact = float(np.trace(b))
+        runs = [
+            adaptive_hutchpp(DenseProvider(b), eps_hat=1e-2 * exact, delta=1e-2, seed=4, **kw)
+            for kw in ({}, {"max_rank": 3})
+        ]
+        assert runs[0][1] > 3 and runs[1][1] == 3
+        assert abs(runs[1][0] - exact) <= 0.02 * exact
+
     def test_hutch_samples_scale_inverse_square(self, rng):
         rho = laplacian_density(random_connected_graph(400, 500, rng))
         b = dense_entropy_matrix(rho)
@@ -285,6 +298,17 @@ class TestEntropyHutchpp:
         assert est.n_rank == 0
         assert abs(est.value - exact) / exact <= 0.15  # statistical, loose
 
+    def test_unknown_method_refused_before_any_krylov_work(self, monkeypatch):
+        import vnentropy.estimators
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("provider built for an unknown method")
+
+        monkeypatch.setattr(vnentropy.estimators, "KrylovEntropyProvider", forbidden)
+        rho = diag_density(np.ones(16))
+        with pytest.raises(ValueError, match="bogus"):
+            entropy_hutchpp(rho, 1e-2, 1e-2, seed=5, method="bogus")
+
     def test_fixed_rank_hutchpp_method(self, rng):
         rho = laplacian_density(random_connected_graph(80, 100, rng))
         est = entropy_hutchpp(rho, 5e-2, 1e-1, seed=78, method="hutchpp")
@@ -321,7 +345,7 @@ class TestHeuristicFallback:
             rho, provider, eps_hat=1e-3,
             run_probing=lambda d, eps: values[d], p1=0.8,
         )
-        assert fit.fallback and not fit.valid
+        assert fit.fallback
         iv = provider.interval
         # the closed-form interval's bound first holds beyond the diameter
         # bound, where probing is exact: d_star is capped there
@@ -343,7 +367,7 @@ class TestDiameterCap:
             rho, provider, eps_hat=1e-9,
             run_probing=lambda d, eps: values[d], p1=0.8,
         )
-        assert fit.valid and not fit.fallback
+        assert not fit.fallback
         assert fit_probing_model(0.1, 0.02, 1e-9)[1] > provider.interval.diameter_bound
         assert fit.d_star == provider.interval.diameter_bound
 
@@ -408,3 +432,48 @@ class TestBoundStop:
         exact = dense_entropy_oracle(rho.matrix)
         est = entropy_hutchpp(rho, 5e-2, 1e-1, seed=2, stop="bound")
         assert abs(est.value - exact) / exact <= 0.15
+
+
+# Values and counts of entropy_probing and entropy_hutchpp, recorded before
+# the provider and the Hutch++ rounds were unified: (value, N_r, N_H,
+# poly_iters, rat_iters, factorizations). A refactor of the estimator layer
+# must keep them.
+PINNED_RUNS = {
+    ("ba", "probing"): (4.851870759956698, None, None, 1705, 0, 0),
+    ("ba", "hutchinson"): (4.8698694611164015, 0, 107, 343, 0, 0),
+    ("ba", "hutchpp"): (4.851230824828677, 3, 1067, 4087, 0, 0),
+    ("ba", "adaptive-hutchpp"): (4.846603312283686, 192, 23, 1528, 0, 0),
+    ("ba", "adaptive-bound"): (4.85376291614498, 200, 5, 2632, 0, 0),
+    ("grid", "probing"): (5.8281475110201075, None, None, 178, 0, 0),
+    ("grid", "hutchinson"): (5.884591110495993, 0, 62, 144, 0, 0),
+    ("grid", "hutchpp"): (5.810137253154008, 3, 515, 1360, 0, 0),
+    ("grid", "adaptive-hutchpp"): (5.810137253154008, 3, 515, 1360, 0, 0),
+    ("grid", "probing-bound"): (5.8042487873199775, None, None, 154, 4, 1),
+    ("grid", "adaptive-bound"): (5.82571972282848, 384, 22, 4010, 32, 2),
+}
+
+
+def _pinned_run(graph, run):
+    from vnentropy.generators import grid2d_adjacency
+    from vnentropy.sparse import build_laplacian, normalize_trace
+
+    adj = barabasi_albert_adjacency(200, 2, 11) if graph == "ba" else grid2d_adjacency(20)
+    rho = normalize_trace(build_laplacian(adj))
+    if run == "probing":
+        return entropy_probing(rho, 1e-4)
+    if run == "probing-bound":
+        return entropy_probing(rho, 1e-6, stop="bound", d_override=3)
+    if run == "adaptive-bound":
+        return entropy_hutchpp(rho, 1e-2, 1e-2, seed=7, stop="bound")
+    eps, delta = (5e-2, 1e-1) if run == "hutchinson" else (2e-2, 1e-2)
+    return entropy_hutchpp(rho, eps, delta, seed=7, method=run)
+
+
+class TestPinnedEstimates:
+    @pytest.mark.parametrize("graph, run", sorted(PINNED_RUNS), ids="-".join)
+    def test_values_and_counts(self, graph, run):
+        value, n_rank, n_hutch, poly, rat, factors = PINNED_RUNS[graph, run]
+        est = _pinned_run(graph, run)
+        assert est.value == pytest.approx(value, rel=1e-14, abs=0)
+        assert (est.n_rank, est.n_hutch) == (n_rank, n_hutch)
+        assert (est.poly_iters, est.rational_iters, est.factorizations) == (poly, rat, factors)
