@@ -89,25 +89,29 @@ def _load_config(path):
     return values
 
 
-def _apply_config(args, parser):
+def _apply_config(args, argv):
+    """Fill the arguments not given on the command line from --config, each
+    converted and checked with its flag's own type and choices."""
     if not getattr(args, "config", None):
         return args
     overrides = _load_config(args.config)
-    sub_parser = getattr(args, "_parser", parser)
-    defaults = {a.dest: a.default for a in sub_parser._actions}
-    for key, val in overrides.items():
-        if not hasattr(args, key):
+    actions = {a.dest: a for a in args._parser._actions}
+    # parsed into a namespace that holds every dest, only given flags change
+    given = argparse.Namespace(**dict.fromkeys(actions))
+    args._parser.parse_args(argv[1:], given)
+    for key, text in overrides.items():
+        action = actions.get(key)
+        if action is None:
             raise CliError(f"unknown config key {key!r}", EXIT_CONFIG)
-        # flags given on the command line win over the config file
-        if getattr(args, key) != defaults.get(key):
+        if getattr(given, key) is not None:
             continue
-        current = defaults.get(key)
-        if isinstance(current, bool):
-            val = val.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            val = int(val)
-        elif isinstance(current, float):
-            val = float(val)
+        flag = action.nargs == 0   # store_true
+        try:
+            val = text.lower() in ("1", "true", "yes") if flag else (action.type or str)(text)
+        except ValueError:
+            val = None
+        if val is None or action.choices is not None and val not in action.choices:
+            raise CliError(f"bad config value {key} = {text!r}", EXIT_CONFIG)
         setattr(args, key, val)
     return args
 
@@ -162,11 +166,15 @@ def _write_out(text, path):
 def cmd_entropy(args):
     if not 0 < args.eps < 1:
         raise CliError("--eps must be in (0, 1)", EXIT_CONFIG)
+    if args.d is not None and args.d < 1:
+        raise CliError("--d must be at least 1", EXIT_CONFIG)
     if getattr(args, "infile", None) and getattr(args, "gen", None):
         raise CliError("exactly one of --in or --gen is required", EXIT_CONFIG)
     stochastic = args.method in ("hutchinson", "hutchpp", "adaptive-hutchpp")
     if stochastic and args.seed is None:
         raise CliError("--seed is required for stochastic methods", EXIT_CONFIG)
+    if stochastic and not 0 < args.delta < 1:
+        raise CliError("--delta must be in (0, 1)", EXIT_CONFIG)
     if args.threads != 1:
         print("note: --threads is ignored; quadratic forms run serially", file=sys.stderr)
     density, label, meta = load_density(args)
@@ -415,10 +423,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv)
     try:
-        args = _apply_config(args, parser)
+        args = _apply_config(args, argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,13 +27,13 @@ RITZ_CLUSTER_TOL = 1e-14
 DEFAULT_M_MAX = 150
 SWITCH_WINDOW = 3          # paper's ell
 SWITCH_FACTOR = 0.75       # paper's c
-BASIS_CAP = 18             # basis vectors allocated up front; doubled as needed
-# A lockstep group holds as many vectors as their (BASIS_CAP + 1) x n start
-# bases fit in GROUP_BYTES. The per-iteration eigh, bound and loop cost
-# is fixed per group, so wider groups spread it over more vectors. The bases
-# are streamed row by row and need not stay in cache; what caps the budget
-# is peak memory, which grows by about the budget itself. 2.5 MiB gives 16
-# vectors at n = 1024, 4 at n = 3600 and 1 at n = 14400.
+BASIS_CAP = 18             # basis vectors allocated up front at most; doubled as needed
+# A lockstep group holds as many vectors as their start bases, start_rows(n)
+# rows of n floats each, fit in GROUP_BYTES. The per-iteration eigh, bound
+# and loop cost is fixed per group, so wider groups spread it. Peak memory
+# grows by about the budget, which caps it. Large n starts with fewer rows
+# (grid forms stop within 5), doubled as needed: 2.5 MiB gives 16 vectors
+# of 19 rows at n = 1024, 4 of 19 at n = 3600 and 4 of 5 at n = 14400.
 GROUP_BYTES = 2560 * 1024
 
 
@@ -159,7 +159,7 @@ class ArnoldiGroup:
     def __init__(self, operator, vectors, members: list):
         """Start ``members``, fresh RationalArnoldiDecomposition objects, on
         the vectors, one per slot, and take their first (polynomial) step."""
-        k, n, cap = len(vectors), operator.n, BASIS_CAP
+        k, n, cap = len(vectors), operator.n, start_rows(operator.n) - 1
         self.op = operator
         self.rows = np.empty((k, cap + 1, n))
         self.H = np.zeros((k, cap + 1, cap))
@@ -857,10 +857,16 @@ class QuadformResult:
     vector: np.ndarray | None = None
 
 
+def start_rows(n: int) -> int:
+    """Basis rows a group allocates per member: BASIS_CAP + 1 where four
+    such bases fit in GROUP_BYTES, else as many as four fit, at least 5."""
+    return min(BASIS_CAP + 1, max(5, GROUP_BYTES // (8 * n * 4)))
+
+
 def group_size(n: int) -> int:
-    """Start vectors advanced in lockstep: as many (BASIS_CAP + 1) x n
-    start bases as fit in GROUP_BYTES, at least one."""
-    return max(1, GROUP_BYTES // (8 * n * (BASIS_CAP + 1)))
+    """Start vectors advanced in lockstep: as many start_rows(n) x n start
+    bases as fit in GROUP_BYTES, at least one."""
+    return max(1, GROUP_BYTES // (8 * n * start_rows(n)))
 
 
 def _columns(b):

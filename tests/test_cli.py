@@ -201,6 +201,24 @@ class TestExitCodes:
         code, _, err = run_cli(["bench-scaling", "--gen", "grid2d", "--sizes", "1"], capsys)
         assert code == 1 and err.startswith("error:") and "no edges" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "probing", "--d", "0"],
+            ["--method", "probing", "--d", "-2"],
+            *(["--method", "adaptive-hutchpp", "--seed", "1", "--delta", v]
+              for v in ("0", "1.5", "-1", "nan")),
+        ],
+        ids=["d=0", "d=-2", "delta=0", "delta=1.5", "delta=-1", "delta=nan"],
+    )
+    def test_out_of_range_is_config_error(self, capsys, monkeypatch, flags):
+        def no_work(args):
+            raise AssertionError("input loaded before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_density", no_work)
+        code, out, err = run_cli(["entropy", "--gen", "grid2d:4", *flags], capsys)
+        assert code == 3 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_unknown_generator(self, capsys):
         code, _, _ = run_cli(
             ["entropy", "--gen", "torus:4", "--method", "probing", "--eps", "1e-2"],
@@ -237,6 +255,42 @@ class TestConfigFile:
             capsys,
         )
         assert code == 3
+
+    def test_config_int_without_default(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d = 2\n")
+        code, out, _ = run_cli(
+            ["entropy", "--gen", "grid2d:8", "--eps", "1e-2", "--config", str(cfg)], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["d"] == 2
+
+    def test_config_seed_for_stochastic_method(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\n")
+        code, out, _ = run_cli(
+            ["entropy", "--gen", "grid2d:8", "--method", "hutchinson", "--eps", "1e-1",
+             "--config", str(cfg)],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == 5
+
+    @pytest.mark.parametrize("line", ["method = bogus", "d = two"])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(["entropy", "--gen", "grid2d:4", "--config", str(cfg)], capsys)
+        assert code == 3 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    def test_explicit_flag_equal_to_default_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 1e-2\n")
+        code, out, _ = run_cli(
+            ["entropy", "--gen", "grid2d:8", "--eps", "1e-3", "--config", str(cfg)], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["eps_rel"] == 1e-3
 
 
 class TestBoundsCommand:

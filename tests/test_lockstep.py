@@ -130,11 +130,42 @@ class TestGroupsMatchSingleRuns:
         # cells, a different number in each spectrum of a group
         op, wide = krylov.ShiftedOperator(rho.matrix), SpectralInterval(0.0, iv.b)
         funvec_singles = [adaptive_funvec(op, block[:, j], ENTROPY, wide, 1e-8) for j in range(13)]
-        monkeypatch.setattr(krylov, "GROUP_BYTES", 3 * 8 * rho.n * (krylov.BASIS_CAP + 1))
+        # three 5-row start bases; with 19-row bases the width is at least 4
+        monkeypatch.setattr(krylov, "GROUP_BYTES", 3 * 8 * rho.n * 5)
         assert group_size(rho.n) == 3
         group = desingularized_quadform(rho, block, ENTROPY, iv, 1e-8, **kwargs)
         assert_bitwise(group, singles)
         assert_bitwise(adaptive_funvec(op, block, ENTROPY, wide, 1e-8), funvec_singles)
+
+    def test_grid_groups_grow_from_short_start_bases(self, rng, monkeypatch):
+        """Groups of 4 on 5-row start bases, as on grid2d:120: the loose
+        members leave before the pool first doubles, the tight ones grow it."""
+        rho = laplacian_density(grid2d_adjacency(12))
+        iv = laplacian_interval(rho)
+        block = rng.standard_normal((rho.n, 8))
+        tols = [1e-2, 1e-8] * 4
+        singles = [desingularized_quadform(rho, block[:, j], ENTROPY, iv, tols[j]) for j in range(8)]
+        monkeypatch.setattr(krylov, "GROUP_BYTES", 4 * 8 * rho.n * 5)
+        assert (krylov.start_rows(rho.n), group_size(rho.n)) == (5, 4)
+        live_at_grow, grow = [], krylov.ArnoldiGroup._grow
+
+        def spy(group):
+            live_at_grow.append(len(group.members))
+            grow(group)
+
+        monkeypatch.setattr(krylov.ArnoldiGroup, "_grow", spy)
+        group = desingularized_quadform(rho, block, ENTROPY, iv, tols)
+        assert_bitwise(group, singles)
+        assert live_at_grow and max(live_at_grow) == 2
+        assert max(r.dim for r in group[::2]) < 5 < min(r.dim for r in group[1::2])
+
+
+class TestGroupWidth:
+    @pytest.mark.parametrize("n, rows, width", [(1024, 19, 16), (3600, 19, 4), (14400, 5, 4)])
+    def test_start_rows_and_width(self, n, rows, width):
+        """ba:1024:2 and grid2d:60 keep full 19-row bases; grid2d:120 gets
+        four 5-row bases where one 19-row basis used to fill the budget."""
+        assert (krylov.start_rows(n), group_size(n)) == (rows, width)
 
 
 class TestPinnedResults:
