@@ -163,18 +163,28 @@ def _write_out(text, path):
         sys.stdout.write(text)
 
 
-def cmd_entropy(args):
-    if not 0 < args.eps < 1:
-        raise CliError("--eps must be in (0, 1)", EXIT_CONFIG)
-    if args.d is not None and args.d < 1:
-        raise CliError("--d must be at least 1", EXIT_CONFIG)
-    if getattr(args, "infile", None) and getattr(args, "gen", None):
-        raise CliError("exactly one of --in or --gen is required", EXIT_CONFIG)
-    stochastic = args.method in ("hutchinson", "hutchpp", "adaptive-hutchpp")
+def _check_flags(args):
+    """Range checks of the flags a subcommand has, made before any input is
+    loaded; the seed keys the generators, which take [0, 2^64)."""
+    stochastic = getattr(args, "method", "probing") != "probing"
+    for name, ok, rule in (
+        ("eps", lambda v: 0 < v < 1, "in (0, 1)"),
+        ("d", lambda v: v >= 1, "at least 1"),
+        ("dmin", lambda v: v >= 1, "at least 1"),
+        ("dmax", lambda v: v >= args.dmin, "at least --dmin"),
+        ("seed", lambda v: 0 <= v < 2**64, "in [0, 2^64)"),
+        ("delta", lambda v: not stochastic or 0 < v < 1, "in (0, 1)"),
+    ):
+        if getattr(args, name, None) is not None and not ok(getattr(args, name)):
+            raise CliError(f"--{name} must be {rule}", EXIT_CONFIG)
     if stochastic and args.seed is None:
         raise CliError("--seed is required for stochastic methods", EXIT_CONFIG)
-    if stochastic and not 0 < args.delta < 1:
-        raise CliError("--delta must be in (0, 1)", EXIT_CONFIG)
+    if getattr(args, "infile", None) and getattr(args, "gen", None):
+        raise CliError("exactly one of --in or --gen is required", EXIT_CONFIG)
+
+
+def cmd_entropy(args):
+    stochastic = args.method != "probing"
     if args.threads != 1:
         print("note: --threads is ignored; quadratic forms run serially", file=sys.stderr)
     density, label, meta = load_density(args)
@@ -427,6 +437,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args = _apply_config(args, argv)
+        _check_flags(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

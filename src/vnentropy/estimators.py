@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import qr as scipy_qr
@@ -38,15 +39,24 @@ MIN_HUTCH_SAMPLES = 5
 DEFLATION_COST_RATIO = 2.0  # one apply + one quadform vs one quadform
 
 
+def gaussian_stream(seed: int, stream: int, n: int):
+    """j -> the standard normal vector of a counter-based generator keyed by
+    (seed, stream, j): reproducible and order-independent. The stream's own
+    Philox is re-keyed per vector, with the bits of a new Philox(key=...)."""
+    gen = np.random.Generator(np.random.Philox())
+    zeros, mask = (0, 0, 0, 0), 0xFFFFFFFFFFFFFFFF
+
+    def draw(j: int) -> np.ndarray:
+        key = (seed & mask, ((stream << 48) + j) & mask)
+        gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                                   "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return gen.standard_normal(n)
+    return draw
+
+
 def gaussian_vector(seed: int, stream: int, j: int, n: int) -> np.ndarray:
-    """Standard normal vector from a counter-based generator keyed by
-    (seed, stream, j): reproducible and order-independent."""
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(((stream << 48) + j) & 0xFFFFFFFFFFFFFFFF)],
-        dtype=np.uint64,
-    )
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal(n)
+    """Vector j of gaussian_stream(seed, stream, n)."""
+    return gaussian_stream(seed, stream, n)(j)
 
 
 class NonConvergenceError(RuntimeError):
@@ -432,7 +442,7 @@ def hutchinson(provider, n_samples: int, seed: int, stream: int = STREAM_HUTCH) 
     if n_samples < 1:
         raise ValueError("need at least one sample")
     total = 0.0
-    for value in _quadforms(provider, n_samples, lambda j: gaussian_vector(seed, stream, j, provider.n)):
+    for value in _quadforms(provider, n_samples, gaussian_stream(seed, stream, provider.n)):
         total += value
     return total / n_samples
 
@@ -452,18 +462,14 @@ def _sketch(provider, q, first: int, count: int, seed: int, apply_tol=None, form
     """One Hutch++ sketch round: Y = B [w_first, ..., w_{first+count-1}] for
     Gaussian w_j keyed by (seed, STREAM_OMEGA, j), projected off range(q)
     and orthonormalized to Q. Returns Q and the forms q_i^T B q_i."""
-    n = provider.n
-    y = _applies(
-        provider, count, lambda j: gaussian_vector(seed, STREAM_OMEGA, first + j, n), apply_tol
-    )
+    draw = gaussian_stream(seed, STREAM_OMEGA, provider.n)
+    y = _applies(provider, count, lambda j: draw(first + j), apply_tol)
     q_new = _rank_revealing_orth(y - q @ (q.T @ y))
     return q_new, _quadforms(provider, q_new.shape[1], lambda i: q_new[:, i], form_tol)
 
 
-def _deflated(seed: int, j: int, n: int, q) -> np.ndarray:
-    """Hutchinson vector j, keyed by (seed, STREAM_HUTCH, j), projected off
-    range(q) when q is given."""
-    x = gaussian_vector(seed, STREAM_HUTCH, j, n)
+def _deflated(x: np.ndarray, q) -> np.ndarray:
+    """A Hutchinson vector x projected off range(q) when q is given."""
     return x if q is None else x - q @ (q.T @ x)
 
 
@@ -477,23 +483,32 @@ def hutchpp(provider, n_rank: int, n_hutch: int, seed: int) -> float:
     t_low = float(np.sum(forms))
     if n_hutch == 0:
         return t_low
-    return t_low + float(np.mean(_quadforms(provider, n_hutch, lambda j: _deflated(seed, j, n, q))))
+    draw = gaussian_stream(seed, STREAM_HUTCH, n)
+    return t_low + float(np.mean(_quadforms(provider, n_hutch, lambda j: _deflated(draw(j), q))))
 
 
-def _required_hutch_samples(samples, eps_hat, delta, inflation_cap=20.0):
+def _required_hutch_samples(samples, eps_hat, delta):
     """Sample count for the tail bound P[|est - tr| >= eps_hat] <= delta,
     from the sample variance of the quadratic forms with a chi-square
     finite-sample inflation (delta split between tail and variance)."""
     n = len(samples)
-    if n < 2:
+    return _required_count(n, float(np.var(samples, ddof=1)) if n >= 2 else 0.0, eps_hat, delta)
+
+
+def _required_count(n: int, var: float, eps_hat, delta) -> int:
+    """_required_hutch_samples for n samples of sample variance var."""
+    if n < 2 or var == 0.0:
         return MIN_HUTCH_SAMPLES
-    var = float(np.var(samples, ddof=1))
-    if var == 0.0:
-        return MIN_HUTCH_SAMPLES
+    z2, infl = _tail_factors(n, delta)
+    return int(np.ceil(z2 * var * infl / eps_hat**2))
+
+
+@lru_cache(maxsize=1024)
+def _tail_factors(n: int, delta: float):
+    """(z^2, chi-square inflation capped at 20) of the tail bound for n >= 2 samples."""
     z = ndtri(1.0 - delta / 4.0)
     chi2_q = 2.0 * gammaincinv((n - 1) / 2.0, delta / 4.0)
-    infl = min(inflation_cap, (n - 1) / max(chi2_q, 1e-12))
-    return int(np.ceil(z * z * var * infl / eps_hat**2))
+    return z * z, min(20.0, (n - 1) / max(chi2_q, 1e-12))
 
 
 def adaptive_hutchpp(
@@ -565,41 +580,35 @@ def _hutchinson_tail(
     whatever their values (``_sure_samples``), then replayed through the
     rule one at a time, so the samples are those of a one-at-a-time loop.
     """
-    n = provider.n
-    samples: list = []
-    while _wants_sample(samples, eps_hat, delta):
-        room = max_total - spent - len(samples)
-        if room <= 0:
-            raise NonConvergenceError(f"Hutchinson samples exceeded the vector budget {max_total}")
-        count = _sure_samples(samples, eps_hat, delta, min(provider.group_size, room))
-        first = len(samples)
-        for value in _quadforms(provider, count, lambda t: _deflated(seed, first + t, n, q), tol):
-            if not _wants_sample(samples, eps_hat, delta):
-                break
-            samples.append(value)
-    return samples
+    draw = gaussian_stream(seed, STREAM_HUTCH, provider.n)
+    buf = np.empty(max(max_total - spent, 0))
+    k, pending = 0, []
+    while k < max(MIN_HUTCH_SAMPLES, _required_hutch_samples(buf[:k], eps_hat, delta)):
+        if not pending:
+            if k == len(buf):
+                raise NonConvergenceError(f"Hutchinson samples exceeded the vector budget {max_total}")
+            count = _sure_samples(buf[:k], eps_hat, delta, min(provider.group_size, len(buf) - k))
+            pending = _quadforms(provider, count, lambda t, first=k: _deflated(draw(first + t), q), tol)
+        buf[k] = pending.pop(0)
+        k += 1
+    return buf[:k].tolist()
 
 
-def _wants_sample(samples, eps_hat, delta) -> bool:
-    """The Hutchinson stopping rule: True while more samples are needed."""
-    return len(samples) < max(MIN_HUTCH_SAMPLES, _required_hutch_samples(samples, eps_hat, delta))
-
-
-def _sure_samples(samples, eps_hat, delta, limit: int) -> int:
+def _sure_samples(samples: np.ndarray, eps_hat, delta, limit: int) -> int:
     """How many more samples, from 1 (the rule wants one now) up to limit,
     the stopping rule takes whatever their values.
 
     Samples at the current mean add nothing to the sum of squared
-    deviations, the least any values can add, so the count required after
-    t more samples is at least the count computed with t copies of the
-    mean; one sample of slack covers rounding.
+    deviations SS, the least any values can add, so the count required
+    after t more samples is at least the count for the sample variance
+    SS / (n + t - 1); one sample of slack covers rounding.
     """
-    mean = float(np.mean(samples)) if samples else 0.0
+    n = len(samples)
+    ss = float(np.sum((samples - np.mean(samples)) ** 2)) if n else 0.0
     t = 1
-    while t < limit:
-        floor = _required_hutch_samples(samples + [mean] * t, eps_hat, delta) - 1
-        if len(samples) + t >= max(MIN_HUTCH_SAMPLES, floor):
-            break
+    while t < limit and n + t < max(
+        MIN_HUTCH_SAMPLES, _required_count(n + t, ss / max(n + t - 1, 1), eps_hat, delta) - 1
+    ):
         t += 1
     return t
 
@@ -624,7 +633,7 @@ def entropy_hutchpp(
     n = density.n
     provider = KrylovEntropyProvider(density, interval, stop, solver_backend)
     pilot_tol = 0.05 * max(np.log(max(n, 2)), 1.0)
-    pilot = _quadforms(provider, 10, lambda j: gaussian_vector(seed, STREAM_PILOT, j, n), pilot_tol)
+    pilot = _quadforms(provider, 10, gaussian_stream(seed, STREAM_PILOT, n), pilot_tol)
     pre = max(float(np.mean(pilot)), 1e-12)
     eps_est = eps_rel * pre / 2
     eps_kry = eps_rel * pre / 2

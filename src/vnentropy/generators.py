@@ -30,6 +30,8 @@ def barabasi_albert_adjacency(n: int, attach: int, seed: int) -> SparseSymMatrix
     """
     if attach < 1 or n < attach + 1:
         raise ValueError("need attach >= 1 and n > attach")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be in [0, 2^64)")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     edges = []
     endpoints = []  # node repeated once per incident edge

@@ -482,18 +482,24 @@ def group_spectrum(group: ArnoldiGroup):
     return group._spectrum
 
 
-def quadform_value(decomp: RationalArnoldiDecomposition, fun: FunctionTriple) -> float:
+def quadform_value(decomps, fun: FunctionTriple):
     """psi_m = ||b||^2 e_1^T f(A_m) e_1 via the symmetrized eigendecomposition.
 
     Ritz values in [-1e-12 b_scale, 0) are clamped to zero (f(0) = 0 for the
-    entropy integrand); values below that are an error for f undefined there.
+    entropy integrand); values below that are an error for f undefined there,
+    reported for the first decomposition that has one. Takes one
+    decomposition and returns a float, or a list of decompositions sharing m
+    and returns an array, evaluated row-wise on their stacked spectra.
     """
-    theta, _, beta, _ = decomp.spectrum()
+    theta, _, beta, members, single = _stacked_spectra(decomps)
     theta = _clamp_ritz(theta)
     fv = np.asarray(fun.f(theta), dtype=np.float64)
-    if not np.all(np.isfinite(fv)):
-        raise ValueError(f"f undefined at Ritz value(s) {theta[~np.isfinite(fv)]}")
-    return float(decomp.b_norm**2 * (fv * beta**2).sum())
+    bad = ~np.isfinite(fv)
+    if bad.any():
+        i = bad.any(axis=1).argmax()
+        raise ValueError(f"f undefined at Ritz value(s) {theta[i][bad[i]]}")
+    values = np.array([d.b_norm**2 for d in members]) * (fv * beta**2).sum(axis=1)
+    return float(values[0]) if single else values
 
 
 def funvec_value(decomp: RationalArnoldiDecomposition, fun: FunctionTriple) -> np.ndarray:
@@ -509,8 +515,7 @@ def funvec_value(decomp: RationalArnoldiDecomposition, fun: FunctionTriple) -> n
 
 
 def _clamp_ritz(theta):
-    scale = np.abs(theta).max() if theta.size else 0.0
-    tol = 1e-12 * max(scale, 1e-300)
+    tol = 1e-12 * np.maximum(np.abs(theta).max(axis=-1, keepdims=True, initial=0.0), 1e-300)
     return np.where((theta < 0) & (theta >= -tol), 0.0, theta)
 
 
@@ -895,10 +900,10 @@ class _Run:
         self.trace: list = []
         self.result = None
 
-    def finish(self, fun, converged, lower, upper, est, want_vector):
+    def finish(self, fun, value, converged, lower, upper, est, want_vector):
         d = self.decomp
         self.result = QuadformResult(
-            value=quadform_value(d, fun),
+            value=value,
             poly_iters=d.poly_matvecs - d.rational_solves,
             rational_iters=d.rational_solves,
             bound_lower=lower,
@@ -949,10 +954,9 @@ def _run_adaptive(
         live = [_Run(d, tol) for d, tol in zip(decomps, tols[lo : lo + width])]
         runs += live
         while live:
-            group_spectrum(group)
+            m = group_spectrum(group)[3]
             lowers, uppers = bound_fn(group, fun, interval)
-            m = live[0].decomp.eval_dim
-            poles, done = [], []
+            poles, done, ends = [], [], []
             for i, (r, lower, upper) in enumerate(zip(live, lowers.tolist(), uppers.tolist())):
                 d = r.decomp
                 est = gm_estimate(lower, upper)
@@ -962,9 +966,9 @@ def _run_adaptive(
                     r.trace.append((m, d.poles[-1], lower, upper, est, quadform_value(d, fun)))
                 converged = d.exhausted or (m >= 2 and stat <= r.tol)
                 if converged or m >= m_max:
-                    r.finish(fun, converged, lower, upper, est, want_vector)
                     poles.append(None)
                     done.append(i)
+                    ends.append((converged, lower, upper, est))
                     continue
                 h = r.history
                 if (
@@ -979,6 +983,10 @@ def _run_adaptive(
                 else:
                     poles.append(pole_source[r.rational_index % len(pole_source)])
                     r.rational_index += 1
+            if done:   # the values of the members that stop, in one stacked call
+                values = quadform_value([live[i].decomp for i in done], fun).tolist()
+                for i, value, end in zip(done, values, ends):
+                    live[i].finish(fun, value, *end, want_vector)
             for i in reversed(done):
                 group.remove(i)
                 live[i], poles[i] = live[-1], poles[-1]

@@ -219,6 +219,45 @@ class TestExitCodes:
         code, out, err = run_cli(["entropy", "--gen", "grid2d:4", *flags], capsys)
         assert code == 3 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["entropy", "--gen", "ba:100:2", "--seed", "-1"],
+            ["entropy", "--gen", "ba:100:2", "--seed", str(2**64)],
+            ["entropy", "--gen", "grid2d:8", "--method", "hutchinson", "--seed", "-1"],
+            ["color-stats", "--gen", "ba:100:2", "--d", "2", "--seed", "-1"],
+            ["probing-sweep", "--gen", "ba:100:2", "--seed", str(2**64)],
+            ["bench-scaling", "--gen", "ba", "--sizes", "200", "--seed", "-1"],
+            ["bench-scaling", "--gen", "grid2d", "--sizes", "64", "--d", "0"],
+            ["bench-scaling", "--gen", "ba", "--sizes", "200", "--method", "adaptive-hutchpp",
+             "--delta", "1.5"],
+            ["color-stats", "--gen", "grid2d:8", "--d", "0"],
+            ["probing-sweep", "--gen", "grid2d:8", "--dmin", "0"],
+            ["probing-sweep", "--gen", "grid2d:8", "--dmin", "5", "--dmax", "2"],
+            ["color-stats", "--in", "graph.mtx", "--gen", "grid2d:8", "--d", "2"],
+        ],
+        ids=[
+            "entropy-seed=-1", "entropy-seed=2^64", "entropy-grid-hutchinson-seed=-1",
+            "color-stats-seed=-1", "probing-sweep-seed=2^64", "bench-scaling-seed=-1",
+            "bench-scaling-d=0", "bench-scaling-delta=1.5", "color-stats-d=0",
+            "probing-sweep-dmin=0", "probing-sweep-dmax<dmin", "color-stats-in-and-gen",
+        ],
+    )
+    def test_out_of_range_in_every_subcommand(self, capsys, monkeypatch, command):
+        def no_work(args):
+            raise AssertionError("input loaded before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_density", no_work)
+        code, out, err = run_cli(command, capsys)
+        assert code == 3 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_generator_rejects_seed_out_of_range(self, seed):
+        from vnentropy.generators import barabasi_albert_adjacency
+
+        with pytest.raises(ValueError, match="seed"):
+            barabasi_albert_adjacency(100, 2, seed)
+
     def test_unknown_generator(self, capsys):
         code, _, _ = run_cli(
             ["entropy", "--gen", "torus:4", "--method", "probing", "--eps", "1e-2"],

@@ -3,6 +3,9 @@ import pytest
 
 from vnentropy.coloring import greedy_distance_coloring
 from vnentropy.estimators import (
+    STREAM_HUTCH,
+    STREAM_OMEGA,
+    STREAM_PILOT,
     DenseProvider,
     KrylovEntropyProvider,
     NonConvergenceError,
@@ -11,6 +14,7 @@ from vnentropy.estimators import (
     entropy_hutchpp,
     entropy_probing,
     fit_probing_model,
+    gaussian_stream,
     gaussian_vector,
     hutchinson,
     hutchpp,
@@ -196,6 +200,32 @@ class TestHutchinson:
         ]
         sigma_mean = np.sqrt(2.0) * np.linalg.norm(b, "fro") / np.sqrt(num)
         assert abs(np.mean(samples) - np.trace(b)) <= 4 * sigma_mean
+
+
+def _fresh_philox_vector(seed, stream, j, n):
+    """The reference: a new Philox keyed by [seed mod 2^64, (stream << 48) + j]."""
+    key = np.array([seed % 2**64, ((stream << 48) + j) % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+
+
+class TestGaussianVector:
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, -1], ids=["0", "7", "2^63+5", "masked-1"])
+    def test_bitwise_a_fresh_philox(self, seed):
+        for stream in (STREAM_PILOT, STREAM_OMEGA, STREAM_HUTCH):
+            draw = gaussian_stream(seed, stream, 13)
+            for j in (0, 1, 2, 3, 17, 255, 4096, 9_999, 10_000):
+                ref = _fresh_philox_vector(seed, stream, j, 13)
+                assert np.array_equal(gaussian_vector(seed, stream, j, 13), ref)
+                assert np.array_equal(draw(j), ref)
+
+    def test_interleaved_streams_do_not_leak_state(self):
+        # odd lengths leave Philox's output buffer part-used; re-keying must
+        # discard it, whatever the other stream drew last
+        hutch, omega = gaussian_stream(5, STREAM_HUTCH, 7), gaussian_stream(5, STREAM_OMEGA, 7)
+        for j in (3, 0, 3, 1, 10_000, 2):
+            assert np.array_equal(hutch(j), _fresh_philox_vector(5, STREAM_HUTCH, j, 7))
+            assert np.array_equal(omega(j), _fresh_philox_vector(5, STREAM_OMEGA, j, 7))
+            assert np.array_equal(hutch(j + 1)[:3], _fresh_philox_vector(5, STREAM_HUTCH, j + 1, 3))
 
 
 class TestHutchpp:

@@ -368,3 +368,95 @@ class TestBlockHutchinsonTail:
                 _serial_tail(provider, 1e-12, 1e-2, 1, None, spent=spent, max_total=max_total)
             with pytest.raises(NonConvergenceError):
                 _hutchinson_tail(provider, 1e-12, 1e-2, 1, None, spent=spent, max_total=max_total)
+
+
+class _CountingProvider(DenseProvider):
+    """DenseProvider that counts the forms it computes. A block is computed
+    column by column, so its forms are bitwise those of single calls."""
+
+    def __init__(self, b):
+        super().__init__(b)
+        self.forms = 0
+
+    def quadform(self, x, tol_abs=None):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 2:
+            return np.array([self.quadform(np.ascontiguousarray(col)) for col in x.T])
+        self.forms += 1
+        return super().quadform(x)
+
+
+class TestTailStopsWhereTheRuleDoes:
+    """The block tail keeps exactly the serial loop's samples and computes
+    no form past the stop or the budget."""
+
+    @pytest.fixture
+    def provider(self, rng):
+        b = rng.standard_normal((40, 40))
+        return _CountingProvider(b @ b.T / 40)
+
+    def test_long_tail_matches_serial(self, provider, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((40, 3)))
+        serial = _serial_tail(provider, 0.7, 1e-2, 9, None, q)
+        provider.forms = 0
+        samples = _hutchinson_tail(provider, 0.7, 1e-2, 9, None, q)
+        assert len(serial) >= 500
+        assert samples == serial
+        assert provider.forms == len(samples)
+
+    def test_tail_that_uses_the_whole_budget(self, provider):
+        serial = _serial_tail(provider, 1.5, 1e-2, 4, None)
+        max_total = 7 + len(serial)
+        provider.forms = 0
+        samples = _hutchinson_tail(provider, 1.5, 1e-2, 4, None, spent=7, max_total=max_total)
+        assert samples == serial and provider.forms == len(serial)
+        provider.forms = 0
+        with pytest.raises(NonConvergenceError):
+            _hutchinson_tail(provider, 1.5, 1e-2, 4, None, spent=8, max_total=max_total)
+        assert provider.forms == len(serial) - 1
+
+
+class TestStackedFinish:
+    def test_values_equal_quadform_value_of_each_member(self, monkeypatch):
+        """The grid2d:20 bound-stop group of PINNED_RUNS takes rational steps;
+        a fifth member spans two eigenvectors and exhausts its space."""
+        rho = laplacian_density(grid2d_adjacency(20))
+        iv = laplacian_interval(rho)
+        u = np.linalg.eigh(rho.matrix.todense())[1]
+        block = np.column_stack([np.random.default_rng(20).standard_normal((rho.n, 4)), u[:, 3] + u[:, 9]])
+        finished, finish = [], krylov._Run.finish
+
+        def spy(run, fun, value, *rest):
+            d = run.decomp
+            finished.append((value, krylov.quadform_value(d, fun), d.rational_solves, d.exhausted))
+            finish(run, fun, value, *rest)
+
+        monkeypatch.setattr(krylov._Run, "finish", spy)
+        results = desingularized_quadform(
+            rho, block, ENTROPY, iv, 1e-10, pole_source=eds_poles(iv, 40), stop="bound"
+        )
+        assert len(finished) == 5
+        assert all(value == single for value, single, _, _ in finished)
+        assert any(rat > 0 for _, _, rat, _ in finished) and any(ex for *_, ex in finished)
+        TestPinnedResults._check(results[:4], TestPinnedResults.GRID)
+
+    def test_stacked_rows_equal_single_rows(self, rng):
+        rho = laplacian_density(barabasi_albert_adjacency(150, 2, 11))
+        decomps = krylov.RationalArnoldiDecomposition.lockstep(
+            krylov.ShiftedOperator(rho.matrix), list(rng.standard_normal((6, rho.n)))
+        )
+        for _ in range(7):
+            decomps[0]._group.step([krylov.INF] * 6)
+        values = krylov.quadform_value(decomps, ENTROPY)
+        assert values.tolist() == [krylov.quadform_value(d, ENTROPY) for d in decomps]
+
+    def test_undefined_ritz_value_raises_as_alone(self, rng):
+        # an indefinite operator: every member reaches m_max with negative Ritz values
+        lam = np.linspace(-1.0, 2.0, 30)
+        block = rng.standard_normal((30, 3))
+        iv = SpectralInterval(0.5, 2.0)
+        with pytest.raises(ValueError, match="f undefined") as alone:
+            adaptive_quadform(DenseOperator(np.diag(lam)), block[:, 0], XLOGX, iv, 1e-12, m_max=6)
+        with pytest.raises(ValueError, match="f undefined") as group:
+            adaptive_quadform(DenseOperator(np.diag(lam)), block, XLOGX, iv, 1e-12, m_max=6)
+        assert str(group.value) == str(alone.value)
