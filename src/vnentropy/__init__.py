@@ -38,14 +38,12 @@ from .generators import barabasi_albert_adjacency, grid2d_adjacency
 from .krylov import (
     ENTROPY,
     XLOGX,
-    FunctionTriple,
     PoleSequence,
     QuadformResult,
     RationalArnoldiDecomposition,
     adaptive_funvec,
     adaptive_quadform,
     aposteriori_bounds,
-    desingularized_quadform,
     eds_poles,
     funvec_aposteriori,
     funvec_value,
@@ -53,7 +51,7 @@ from .krylov import (
     quadform_value,
     trace_to_csv,
 )
-from .solver import FactorCache, PoleSolver, cg_solve, factorize, solve
+from .solver import PoleSolver, cg_solve, factorize
 from .sparse import (
     DensityMatrix,
     MatrixFormatError,

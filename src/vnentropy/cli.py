@@ -118,7 +118,7 @@ def _apply_config(args, argv):
 
 def _binarized_adjacency(mat: SparseSymMatrix) -> SparseSymMatrix:
     """All edge weights set to one, diagonal dropped (graph convention)."""
-    rows = np.repeat(np.arange(mat.n), np.diff(mat.row_ptr))
+    rows = mat.row_indices()
     off = rows != mat.col_idx
     return from_coo(
         mat.n, rows[off], mat.col_idx[off], np.ones(int(off.sum())), is_pattern=True

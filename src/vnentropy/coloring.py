@@ -62,7 +62,7 @@ def rcm_order(graph: SparseSymMatrix) -> np.ndarray:
 
 def bandwidth(graph: SparseSymMatrix, order=None) -> int:
     """Max |i - j| over stored off-diagonal entries, optionally reordered."""
-    rows = np.repeat(np.arange(graph.n), np.diff(graph.row_ptr))
+    rows = graph.row_indices()
     cols = graph.col_idx
     if order is not None:
         pos = np.empty(graph.n, dtype=np.int64)

@@ -16,13 +16,10 @@ from .bounds import select_d_apriori
 from .coloring import Coloring, make_coloring, probing_vector_dense
 from .krylov import (
     ENTROPY,
-    FunctionTriple,
-    QuadformResult,
     ShiftedOperator,
     adaptive_funvec,
     adaptive_quadform,
     desingularized_columns,
-    desingularized_quadform,
     eds_poles,
     group_size,
 )
@@ -107,7 +104,6 @@ class KrylovEntropyProvider:
         stop: str = "estimate",
         solver_backend: str = "auto",
     ):
-        self.density = density
         self.n = density.n
         self.interval = laplacian_interval(density) if interval is None else interval
         self.pole_source = eds_poles(self.interval, 40) if self.interval.a > 0 else None
@@ -128,41 +124,41 @@ class KrylovEntropyProvider:
                     f"quadratic form did not converge below {res.tol} in {res.dim} iterations"
                 )
 
+    def _run(self, adaptive, x, tol_abs) -> list:
+        """(j, result) for each column j of x (a vector is one column) off
+        the kernel: one ``adaptive`` call (adaptive_quadform or
+        adaptive_funvec) on the columns, each projected off the ones vector
+        when the density is desingularized. A column in the kernel of a
+        graph-Laplacian density gets no result; its form and f(rho) x are 0,
+        as f(0) = 0."""
+        rows = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64).T))
+        tols = np.broadcast_to(np.asarray(tol_abs, dtype=np.float64), (len(rows),))
+        js, starts = desingularized_columns(rows, self.n) if self.desingularize else (range(len(rows)), rows)
+        if not js:
+            return []
+        # the transpose of the rows: the engine takes its columns uncopied
+        results = adaptive(
+            self.op, starts.T, ENTROPY, self.interval, tols[js],
+            pole_source=self.pole_source, stop=self.stop,
+        )
+        self._account(results)
+        return list(zip(js, results))
+
     def quadform(self, x, tol_abs=None):
         """x^T f(rho) x for a vector, or an array of the column forms of an
         (n, k) block; tol_abs may then hold one tolerance per column."""
-        tol = self.QUADFORM_TOL if tol_abs is None else tol_abs
-        if self.desingularize:
-            res = desingularized_quadform(
-                self.density, x, ENTROPY, self.interval, tol,
-                pole_source=self.pole_source, stop=self.stop, operator=self.op,
-            )
-        else:
-            res = adaptive_quadform(
-                self.op, x, ENTROPY, self.interval, tol,
-                pole_source=self.pole_source, stop=self.stop,
-            )
-        if isinstance(res, QuadformResult):
-            self._account([res])
-            return res.value
-        self._account(res)
-        return np.array([r.value for r in res])
+        x = np.asarray(x, dtype=np.float64)
+        out = np.zeros(1 if x.ndim == 1 else x.shape[1])
+        for j, res in self._run(adaptive_quadform, x, self.QUADFORM_TOL if tol_abs is None else tol_abs):
+            out[j] = res.value
+        return out if x.ndim == 2 else float(out[0])
 
     def apply(self, x, tol_abs=None) -> np.ndarray:
         """f(rho) x for a vector, or column-wise for an (n, k) block."""
-        tol = self.FUNVEC_TOL if tol_abs is None else tol_abs
         x = np.asarray(x, dtype=np.float64)
-        rows = np.ascontiguousarray(np.atleast_2d(x.T))   # one row per column of x
-        todo = desingularized_columns(rows, self.n) if self.desingularize else list(enumerate(rows))
-        out = np.zeros((self.n, len(rows)))
-        if todo:
-            results = adaptive_funvec(
-                self.op, np.column_stack([c for _, c in todo]), ENTROPY, self.interval, tol,
-                pole_source=self.pole_source, stop=self.stop,
-            )
-            self._account(results)
-            for (j, _), res in zip(todo, results):
-                out[:, j] = res.vector
+        out = np.zeros((self.n, 1 if x.ndim == 1 else x.shape[1]))
+        for j, res in self._run(adaptive_funvec, x, self.FUNVEC_TOL if tol_abs is None else tol_abs):
+            out[:, j] = res.vector
         return out if x.ndim == 2 else out[:, 0]
 
 
@@ -217,15 +213,16 @@ def _applies(provider, count: int, vector, tol=None) -> np.ndarray:
     ])
 
 
-def probing_error_identity_check(dense_a: np.ndarray, coloring: Coloring, fun: FunctionTriple) -> float:
-    """-sum_l sum_{i != j in V_l} [f(A)]_{ij}, computed densely for a PSD A.
+def probing_error_identity_check(dense_a: np.ndarray, coloring: Coloring, fun) -> float:
+    """-sum_l sum_{i != j in V_l} [f(A)]_{ij} for a vectorized f, computed
+    densely for a PSD A.
 
     Equals trace(f(A)) - traceP_d(f(A)) for the same coloring. Eigenvalues
     are clamped as in sparse.clamp_psd_eigenvalues.
     """
     w, u = dense_sym_eig(dense_a)
     w = clamp_psd_eigenvalues(w)
-    fa = (u * np.asarray(fun.f(w))) @ u.T
+    fa = (u * np.asarray(fun(w))) @ u.T
     total = 0.0
     for cls in coloring.classes:
         block = fa[np.ix_(cls, cls)]
@@ -422,11 +419,11 @@ def _engine_stats(provider: KrylovEntropyProvider, t0: float) -> dict:
     fill alike: Krylov iteration counts, shifted-solver use and the wall
     time since t0."""
     solver = provider.op.solver
-    fill = solver.cache.fill_ratio
+    fill = solver.fill_ratio
     return {
         "poly_iters": provider.poly_iters,
         "rational_iters": provider.rational_iters,
-        "factorizations": solver.factorization_count,
+        "factorizations": len(solver.factors),
         "wall_time_s": time.perf_counter() - t0,
         "solver_backend": solver.backend,
         "fill_ratio": None if fill is None else round(fill, 3),
@@ -579,36 +576,46 @@ def _hutchinson_tail(
     The forms are computed in blocks of the samples the stopping rule takes
     whatever their values (``_sure_samples``), then replayed through the
     rule one at a time, so the samples are those of a one-at-a-time loop.
+    The budget error comes before a block once the rule is sure to want a
+    sample after the whole budget: that loop would spend it all.
     """
     draw = gaussian_stream(seed, STREAM_HUTCH, provider.n)
     buf = np.empty(max(max_total - spent, 0))
     k, pending = 0, []
     while k < max(MIN_HUTCH_SAMPLES, _required_hutch_samples(buf[:k], eps_hat, delta)):
         if not pending:
-            if k == len(buf):
+            ss = float(np.sum((buf[:k] - np.mean(buf[:k])) ** 2)) if k else 0.0
+            if k == len(buf) or _sure_to_want(len(buf), ss, eps_hat, delta):
                 raise NonConvergenceError(f"Hutchinson samples exceeded the vector budget {max_total}")
-            count = _sure_samples(buf[:k], eps_hat, delta, min(provider.group_size, len(buf) - k))
+            count = _sure_samples(k, ss, eps_hat, delta, min(provider.group_size, len(buf) - k))
             pending = _quadforms(provider, count, lambda t, first=k: _deflated(draw(first + t), q), tol)
         buf[k] = pending.pop(0)
         k += 1
     return buf[:k].tolist()
 
 
-def _sure_samples(samples: np.ndarray, eps_hat, delta, limit: int) -> int:
-    """How many more samples, from 1 (the rule wants one now) up to limit,
-    the stopping rule takes whatever their values.
+def _sure_to_want(total: int, ss: float, eps_hat, delta) -> bool:
+    """Whether the stopping rule is sure to want another sample after
+    ``total`` samples, the first of which have the sum of squared
+    deviations ss, whatever the values of the rest.
 
-    Samples at the current mean add nothing to the sum of squared
-    deviations SS, the least any values can add, so the count required
-    after t more samples is at least the count for the sample variance
-    SS / (n + t - 1); one sample of slack covers rounding.
+    Later samples never lower SS, so the variance is at least
+    SS / (total - 1), and the required count is at least the one for that
+    variance; one sample of slack covers rounding. The required count
+    falls as the sample count grows, so a rule sure to want a sample after
+    ``total`` samples is sure to want every sample before that too.
     """
-    n = len(samples)
-    ss = float(np.sum((samples - np.mean(samples)) ** 2)) if n else 0.0
+    return total < max(
+        MIN_HUTCH_SAMPLES, _required_count(total, ss / max(total - 1, 1), eps_hat, delta) - 1
+    )
+
+
+def _sure_samples(n: int, ss: float, eps_hat, delta, limit: int) -> int:
+    """How many more samples, from 1 (the rule wants one now) up to limit,
+    the stopping rule takes after n samples with sum of squared deviations
+    ss, whatever their values."""
     t = 1
-    while t < limit and n + t < max(
-        MIN_HUTCH_SAMPLES, _required_count(n + t, ss / max(n + t - 1, 1), eps_hat, delta) - 1
-    ):
+    while t < limit and _sure_to_want(n + t, ss, eps_hat, delta):
         t += 1
     return t
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ellipj, ellipkm1
 
 from .solver import PoleSolver
-from .sparse import DensityMatrix, SparseSymMatrix, SpectralInterval, matvec
+from .sparse import SparseSymMatrix, SpectralInterval, matvec
 
 INF = np.inf
 TINY = np.finfo(float).tiny
@@ -37,27 +37,24 @@ BASIS_CAP = 18             # basis vectors allocated up front at most; doubled a
 GROUP_BYTES = 2560 * 1024
 
 
-@dataclass(frozen=True)
-class FunctionTriple:
-    """Vectorized scalar function whose matrix function the engine forms."""
-
-    f: callable
-
-
-def _xlogx(x):
-    """x log x with 0 log 0 = 0; undefined (NaN) for negative arguments."""
+def _signed_xlogx(sign, x):
+    """sign * x log x with 0 log 0 = 0; undefined (NaN) for negative arguments."""
     x = np.asarray(x, dtype=np.float64)
     if x.size and x.min() > 0:
-        return x * np.log(x)
+        return sign * (x * np.log(x))
     out = np.where(x < 0, np.nan, 0.0)
     pos = x > 0
     out[pos] = x[pos] * np.log(x[pos])
-    return out
+    return sign * out
 
 
-XLOGX = FunctionTriple(f=_xlogx)
+# The vectorized functions whose matrix functions the engine forms. The
+# a posteriori bounds recognise them by identity, so they are partial
+# objects: perfbench's tracer wraps each public module function anew in
+# every namespace that binds it, which would make two ENTROPY objects.
+XLOGX = functools.partial(_signed_xlogx, 1.0)
 
-ENTROPY = FunctionTriple(f=lambda x: -_xlogx(x))
+ENTROPY = functools.partial(_signed_xlogx, -1.0)
 
 
 @dataclass(frozen=True)
@@ -65,8 +62,6 @@ class PoleSequence:
     """Ordered poles in (-inf, 0) or at infinity; nested by construction."""
 
     poles: tuple
-    interval: SpectralInterval | None = None
-    kind: str = "mixed"
 
     def __post_init__(self):
         for xi in self.poles:
@@ -111,7 +106,7 @@ def eds_poles(interval: SpectralInterval, m: int) -> PoleSequence:
     # poles far below the spectrum act like the excluded xi = 0 and would
     # amplify the deflated kernel through the shifted solves; floor them
     xi = -np.clip(-xi, a / 100.0, 1e300)
-    return PoleSequence(poles=tuple(xi.tolist()), interval=interval, kind="eds")
+    return PoleSequence(poles=tuple(xi.tolist()))
 
 
 class ShiftedOperator:
@@ -482,7 +477,7 @@ def group_spectrum(group: ArnoldiGroup):
     return group._spectrum
 
 
-def quadform_value(decomps, fun: FunctionTriple):
+def quadform_value(decomps, fun):
     """psi_m = ||b||^2 e_1^T f(A_m) e_1 via the symmetrized eigendecomposition.
 
     Ritz values in [-1e-12 b_scale, 0) are clamped to zero (f(0) = 0 for the
@@ -493,7 +488,7 @@ def quadform_value(decomps, fun: FunctionTriple):
     """
     theta, _, beta, members, single = _stacked_spectra(decomps)
     theta = _clamp_ritz(theta)
-    fv = np.asarray(fun.f(theta), dtype=np.float64)
+    fv = np.asarray(fun(theta), dtype=np.float64)
     bad = ~np.isfinite(fv)
     if bad.any():
         i = bad.any(axis=1).argmax()
@@ -502,12 +497,12 @@ def quadform_value(decomps, fun: FunctionTriple):
     return float(values[0]) if single else values
 
 
-def funvec_value(decomp: RationalArnoldiDecomposition, fun: FunctionTriple) -> np.ndarray:
+def funvec_value(decomp: RationalArnoldiDecomposition, fun) -> np.ndarray:
     """f(A) b ~ ||b|| V_m f(A_m) e_1."""
     a_m, _, m = decomp.projected()
     theta, u = np.linalg.eigh(0.5 * (a_m + a_m.T))
     theta = _clamp_ritz(theta)
-    fv = np.asarray(fun.f(theta), dtype=np.float64)
+    fv = np.asarray(fun(theta), dtype=np.float64)
     if not np.all(np.isfinite(fv)):
         raise ValueError(f"f undefined at Ritz value(s) {theta[~np.isfinite(fv)]}")
     coeffs = u @ (fv * u[0, :])
@@ -773,13 +768,13 @@ def _stacked_spectra(decomps):
     return theta, alpha, beta, members, single
 
 
-def _x_log_x_family(fun: FunctionTriple):
+def _x_log_x_family(fun):
     """The bounds rest on the signs of the derivatives of x log x."""
     if fun is not ENTROPY and fun is not XLOGX:
         raise ValueError("a posteriori bounds are available for ENTROPY and XLOGX only")
 
 
-def aposteriori_bounds(decomps, fun: FunctionTriple, interval: SpectralInterval):
+def aposteriori_bounds(decomps, fun, interval: SpectralInterval):
     """Lower/upper bounds ||b||^2 (min, max) |g_m| over the spectral interval
     [a, b], for f = ENTROPY or XLOGX (ValueError for any other f), with
     g_m(z) = sum_j (alpha_j beta_j)^2 f[th_j, th_j, z]
@@ -818,7 +813,7 @@ def aposteriori_bounds(decomps, fun: FunctionTriple, interval: SpectralInterval)
     return (float(lower[0]), float(upper[0])) if single else (lower, upper)
 
 
-def funvec_aposteriori(decomps, fun: FunctionTriple, interval: SpectralInterval):
+def funvec_aposteriori(decomps, fun, interval: SpectralInterval):
     """First-order bounds ||b|| (min, max) |h_m| for the f(A) b error, with
     h_m(z) = sum_j alpha_j beta_j f[th_j, z], for f = ENTROPY or XLOGX
     (ValueError for any other f).
@@ -874,20 +869,6 @@ def group_size(n: int) -> int:
     return max(1, GROUP_BYTES // (8 * n * start_rows(n)))
 
 
-def _columns(b):
-    """(contiguous start vectors, whether b was a single vector) of a vector
-    or an (n, k) block."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim == 1:
-        return [b], True
-    return [np.ascontiguousarray(b[:, j]) for j in range(b.shape[1])], False
-
-
-def _tolerances(tol_abs, k: int) -> list:
-    """One float tolerance per start vector from a scalar or a sequence."""
-    return [float(t) for t in np.broadcast_to(np.asarray(tol_abs, dtype=np.float64), (k,))]
-
-
 class _Run:
     """One start vector's state in the adaptive loop."""
 
@@ -922,17 +903,19 @@ class _Run:
 
 def _run_adaptive(
     operator,
-    vectors: list,
-    fun: FunctionTriple,
+    b,
+    fun,
     interval: SpectralInterval,
-    tols: list,
+    tol_abs,
     pole_source: PoleSequence | None,
     stop: str,
     m_max: int,
     want_vector: bool,
     keep_trace: bool,
-) -> list:
-    """The adaptive loop, one QuadformResult per start vector.
+):
+    """The adaptive loop on the start vector b, one QuadformResult; or on
+    the columns of an (n, k) block b, with tol_abs a scalar or one
+    tolerance per column, a list of k results.
 
     Vectors run in lockstep groups of at most group_size(n), each one
     ArnoldiGroup: every member takes its own poles and stop decisions, but
@@ -941,6 +924,9 @@ def _run_adaptive(
     leaves the group when it stops, and each member's decisions and result
     are bitwise those of a run on its own.
     """
+    b = np.asarray(b, dtype=np.float64)
+    vectors = [b] if b.ndim == 1 else [np.ascontiguousarray(col) for col in b.T]
+    tols = [float(t) for t in np.broadcast_to(np.asarray(tol_abs, dtype=np.float64), (len(vectors),))]
     if min(tols, default=1.0) <= 0:
         raise ValueError("tol_abs must be positive")
     if stop not in ("bound", "estimate"):
@@ -994,7 +980,8 @@ def _run_adaptive(
                 poles.pop()
             if live:
                 group.step(poles)
-    return [r.result for r in runs]
+    results = [r.result for r in runs]
+    return results[0] if b.ndim == 1 else results
 
 
 def trace_to_csv(result: QuadformResult) -> str:
@@ -1010,7 +997,7 @@ def trace_to_csv(result: QuadformResult) -> str:
 def adaptive_quadform(
     operator,
     b,
-    fun: FunctionTriple,
+    fun,
     interval: SpectralInterval,
     tol_abs,
     pole_source: PoleSequence | None = None,
@@ -1026,18 +1013,16 @@ def adaptive_quadform(
     b may be an (n, k) block, with tol_abs a scalar or one per column: the
     k forms then run in lockstep and a list of k results is returned.
     """
-    vectors, single = _columns(b)
-    results = _run_adaptive(
-        operator, vectors, fun, interval, _tolerances(tol_abs, len(vectors)), pole_source,
-        stop, m_max, want_vector=False, keep_trace=keep_trace,
+    return _run_adaptive(
+        operator, b, fun, interval, tol_abs, pole_source, stop, m_max,
+        want_vector=False, keep_trace=keep_trace,
     )
-    return results[0] if single else results
 
 
 def adaptive_funvec(
     operator,
     b,
-    fun: FunctionTriple,
+    fun,
     interval: SpectralInterval,
     tol_abs,
     pole_source: PoleSequence | None = None,
@@ -1046,67 +1031,20 @@ def adaptive_funvec(
 ):
     """f(A) b to absolute 2-norm tolerance tol_abs, same pole management;
     an (n, k) block gives a list of k results."""
-    vectors, single = _columns(b)
-    results = _run_adaptive(
-        operator, vectors, fun, interval, _tolerances(tol_abs, len(vectors)), pole_source,
-        stop, m_max, want_vector=True, keep_trace=False,
+    return _run_adaptive(
+        operator, b, fun, interval, tol_abs, pole_source, stop, m_max,
+        want_vector=True, keep_trace=False,
     )
-    return results[0] if single else results
 
 
-def desingularized_columns(vectors, n: int) -> list:
-    """(j, c_j) for each start vector b_j whose part off the ones vector,
-    c_j = b_j - (1^T b_j / n) 1, is not negligible: ||c_j|| > 1e-14 ||b_j||.
-    The other columns lie in the kernel of a graph-Laplacian density."""
-    out = []
-    for j, b in enumerate(vectors):
-        c = b - b.sum() / n
-        if np.linalg.norm(c) > 1e-14 * np.linalg.norm(b):
-            out.append((j, c))
-    return out
-
-
-def desingularized_quadform(
-    density: DensityMatrix,
-    b,
-    fun: FunctionTriple,
-    interval: SpectralInterval,
-    tol_abs,
-    pole_source: PoleSequence | None = None,
-    stop: str = "estimate",
-    m_max: int = DEFAULT_M_MAX,
-    operator: ShiftedOperator | None = None,
-):
-    """b^T f(rho) b for a graph-Laplacian density matrix via implicit
-    desingularization: the start vector c = b - (1^T b / n) 1 is orthogonal
-    to the kernel, so convergence is governed by [lambda_2, lambda_n];
-    the result is recovered through f(rho) 1 = f(0) 1. An (n, k) block
-    gives a list of k results, as in adaptive_quadform."""
-    vectors, single = _columns(b)
-    tols = _tolerances(tol_abs, len(vectors))
-    n = density.n
-    op = operator if operator is not None else ShiftedOperator(density.matrix)
-    f0 = float(np.asarray(fun.f(np.array([0.0])))[0])
-    # a column in the kernel has b^T f(rho) b = f(0) ||b||^2
-    results = [
-        QuadformResult(
-            value=f0 * float(bj @ bj),
-            poly_iters=0,
-            rational_iters=0,
-            bound_lower=0.0,
-            bound_upper=0.0,
-            estimate=0.0,
-            converged=True,
-            tol=tol,
-        )
-        for bj, tol in zip(vectors, tols)
-    ]
-    todo = desingularized_columns(vectors, n)
-    runs = _run_adaptive(
-        op, [c for _, c in todo], fun, interval, [tols[j] for j, _ in todo], pole_source,
-        stop, m_max, want_vector=False, keep_trace=False,
-    )
-    for (j, _), res in zip(todo, runs):
-        res.value += f0 * vectors[j].sum() ** 2 / n
-        results[j] = res
-    return results[0] if single else results
+def desingularized_columns(rows: np.ndarray, n: int):
+    """(js, c) for the start vectors b_j, the rows of a (k, n) array: js
+    lists each j whose part off the ones vector, c_j = b_j - (1^T b_j / n) 1,
+    is not negligible, ||c_j|| > 1e-14 ||b_j||, and the rows of c are those
+    parts. The other vectors lie in the kernel of a graph-Laplacian density."""
+    c, js = np.empty_like(rows), []
+    for j, b in enumerate(rows):
+        c[len(js)] = b - b.sum() / n
+        if np.linalg.norm(c[len(js)]) > 1e-14 * np.linalg.norm(b):
+            js.append(j)
+    return js, c[: len(js)]

@@ -44,12 +44,13 @@ class SparseSymMatrix:
         """scipy CSR matrix sharing ``values``, built on first product."""
         return sp.csr_matrix((self.values, self.col_idx, self.row_ptr), shape=(self.n, self.n))
 
-    def _row_indices(self) -> np.ndarray:
+    def row_indices(self) -> np.ndarray:
+        """Row index of each stored entry, aligned with col_idx and values."""
         return np.repeat(np.arange(self.n), np.diff(self.row_ptr))
 
     def diagonal(self) -> np.ndarray:
         diag = np.zeros(self.n)
-        rows = self._row_indices()
+        rows = self.row_indices()
         mask = rows == self.col_idx
         diag[rows[mask]] = self.values[mask]
         return diag
@@ -59,7 +60,7 @@ class SparseSymMatrix:
 
     def todense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.n))
-        dense[self._row_indices(), self.col_idx] = self.values
+        dense[self.row_indices(), self.col_idx] = self.values
         return dense
 
     def pattern(self) -> sp.csr_matrix:
@@ -69,7 +70,7 @@ class SparseSymMatrix:
 
     def degrees(self) -> np.ndarray:
         """Node degrees of the associated graph (off-diagonal entry counts)."""
-        rows = self._row_indices()
+        rows = self.row_indices()
         loops = np.bincount(rows[rows == self.col_idx], minlength=self.n)
         return np.diff(self.row_ptr).astype(np.int64) - loops
 
@@ -112,7 +113,7 @@ def _check_structural_symmetry(mat: SparseSymMatrix) -> None:
     """Raise unless the transpose has the same entries. The storage order
     is by row, then strictly increasing column, so a stable sort by column
     gives the transpose's storage order."""
-    rows = mat._row_indices()
+    rows = mat.row_indices()
     bw = np.argsort(mat.col_idx, kind="stable")
     if not (np.array_equal(rows, mat.col_idx[bw]) and np.array_equal(mat.col_idx, rows[bw])):
         raise MatrixFormatError("matrix is not structurally symmetric")
@@ -201,7 +202,7 @@ def parse_matrix_market(data) -> SparseSymMatrix:
 def write_matrix_market(mat: SparseSymMatrix) -> str:
     """Write the upper triangle in Matrix Market coordinate format."""
     field = "pattern" if mat.is_pattern else "real"
-    rows = np.repeat(np.arange(mat.n), np.diff(mat.row_ptr))
+    rows = mat.row_indices()
     mask = rows <= mat.col_idx
     r, c, v = rows[mask], mat.col_idx[mask], mat.values[mask]
     lines = [f"%%MatrixMarket matrix coordinate {field} symmetric"]
@@ -291,7 +292,7 @@ def matvec(mat: SparseSymMatrix, x: np.ndarray) -> np.ndarray:
 
 def build_laplacian(adjacency: SparseSymMatrix) -> SparseSymMatrix:
     """Graph Laplacian L = D - A with D = diag(A 1); rows sum to zero."""
-    rows = np.repeat(np.arange(adjacency.n), np.diff(adjacency.row_ptr))
+    rows = adjacency.row_indices()
     if np.any(rows == adjacency.col_idx):
         raise MatrixFormatError("adjacency matrix has nonzero diagonal")
     if np.any(adjacency.values < 0):
@@ -320,7 +321,7 @@ def largest_component(mat: SparseSymMatrix):
     keep = labels == target
     old_to_new = np.full(mat.n, -1, dtype=np.int64)
     old_to_new[keep] = np.arange(int(keep.sum()))
-    rows = np.repeat(np.arange(mat.n), np.diff(mat.row_ptr))
+    rows = mat.row_indices()
     mask = keep[rows] & keep[mat.col_idx]
     sub = from_coo(
         int(keep.sum()),
@@ -478,7 +479,7 @@ def laplacian_interval(density: DensityMatrix) -> SpectralInterval:
     """
     mat = density.matrix
     n = mat.n
-    rows = mat._row_indices()
+    rows = mat.row_indices()
     off = rows != mat.col_idx
     w = -mat.values[off]
     row_sums = np.bincount(rows, weights=mat.values, minlength=n)

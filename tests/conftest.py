@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vnentropy.krylov import ENTROPY, ShiftedOperator, adaptive_quadform, desingularized_columns
 from vnentropy.sparse import SparseSymMatrix, build_laplacian, from_coo, normalize_trace
 
 
@@ -50,6 +51,19 @@ def diag_density(values) -> "DensityMatrix":
     idx = np.flatnonzero(values)
     mat = from_coo(n, idx, idx, values[idx])
     return normalize_trace(mat)
+
+
+def desingularized_forms(rho, b, interval, tol_abs, **kwargs):
+    """adaptive_quadform of ENTROPY on the columns of b, each projected off
+    the ones vector by desingularized_columns, as KrylovEntropyProvider runs
+    them on a graph-Laplacian density: one result for a vector, a list for
+    an (n, k) block. No column may lie in the kernel."""
+    b = np.asarray(b, dtype=np.float64)
+    rows = np.ascontiguousarray(np.atleast_2d(b.T))
+    js, starts = desingularized_columns(rows, rho.n)
+    assert len(js) == len(rows)
+    start = starts.T if b.ndim == 2 else starts[0]
+    return adaptive_quadform(ShiftedOperator(rho.matrix), start, ENTROPY, interval, tol_abs, **kwargs)
 
 
 @pytest.fixture

@@ -130,6 +130,17 @@ class TestSolverLine:
         assert float(line.group(3)) >= 1.0
         assert int(line.group(4)) == report["rat_iters"]
 
+    def test_cg_backend_in_the_rational_phase(self, capsys):
+        args = ["entropy", "--gen", "grid2d:30", "--method", "probing", "--eps", "1e-6",
+                "--stop", "bound", "--d", "3"]
+        code, out, err = run_cli(args + ["--solver", "cg"], capsys)
+        report = json.loads(out)
+        assert code == 0 and report["rat_iters"] > 0
+        assert f"solver: backend=cg factors=0 fill=n/a solves={report['rat_iters']}" in err.splitlines()
+        code, out, _ = run_cli(args + ["--solver", "direct"], capsys)
+        direct = json.loads(out)["value"]
+        assert code == 0 and abs(report["value"] - direct) <= 1e-8 * abs(direct)
+
 
 class TestExitCodes:
     def test_parse_error(self, tmp_path, capsys):
@@ -181,6 +192,24 @@ class TestExitCodes:
             capsys,
         )
         assert code == 2 and "non-convergence" in err
+
+    def test_hutchinson_budget_error_comes_early(self, capsys, monkeypatch):
+        from vnentropy import estimators
+
+        forms, quadforms = [], estimators._quadforms
+
+        def counting(provider, count, *args, **kwargs):
+            forms.append(count)
+            return quadforms(provider, count, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_quadforms", counting)
+        code, out, err = run_cli(
+            ["entropy", "--gen", "grid2d:10", "--seed", "3", "--method", "hutchinson"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err == "error: non-convergence: Hutchinson samples exceeded the vector budget 10000\n"
+        # the rule is sure to want more than the budget long before it is spent
+        assert sum(forms) < 1000
 
     @pytest.mark.parametrize(
         "command",

@@ -36,7 +36,7 @@ from conftest import (
 def dense_entropy_matrix(density):
     w, u = dense_sym_eig(density.matrix.todense())
     w = np.clip(w, 0.0, None)
-    return (u * np.asarray(ENTROPY.f(w))) @ u.T
+    return (u * np.asarray(ENTROPY(w))) @ u.T
 
 
 class TestProbingTrace:

@@ -6,13 +6,11 @@ from vnentropy.krylov import (
     INF,
     XLOGX,
     DenseOperator,
-    FunctionTriple,
     PoleSequence,
     RationalArnoldiDecomposition,
     adaptive_funvec,
     adaptive_quadform,
     aposteriori_bounds,
-    desingularized_quadform,
     eds_poles,
     funvec_aposteriori,
     funvec_value,
@@ -20,10 +18,11 @@ from vnentropy.krylov import (
     quadform_value,
 )
 import vnentropy.krylov as krylov
+from vnentropy.estimators import KrylovEntropyProvider
 from vnentropy.generators import barabasi_albert_adjacency, grid2d_adjacency
 from vnentropy.sparse import SpectralInterval, build_laplacian, dense_sym_eig, normalize_trace
 
-from conftest import cycle_graph, laplacian_density, path_graph, random_connected_graph
+from conftest import cycle_graph, desingularized_forms, laplacian_density, path_graph, random_connected_graph
 
 
 def random_spd(n, rng, lo=0.5, hi=3.0):
@@ -35,7 +34,7 @@ def random_spd(n, rng, lo=0.5, hi=3.0):
 
 def dense_quadform(a, b, fun):
     w, u = np.linalg.eigh(a)
-    return float(b @ u @ (np.asarray(fun.f(w)) * (u.T @ b)))
+    return float(b @ u @ (np.asarray(fun(w)) * (u.T @ b)))
 
 
 def chebyshev_diag(n, lo=1e-3, hi=1e3):
@@ -170,13 +169,12 @@ class TestQuadformValue:
                 denom = denom * (1 - x / xi)
             return np.polyval(coef, x) / denom**2
 
-        fun = FunctionTriple(f=f_rat)
         d = RationalArnoldiDecomposition(DenseOperator(a), b)
         for xi in poles:
             d.step(xi)
         assert d.eval_dim == m
-        psi_m = quadform_value(d, fun)
-        psi = dense_quadform(a, b, fun)
+        psi_m = quadform_value(d, f_rat)
+        psi = dense_quadform(a, b, f_rat)
         assert abs(psi_m - psi) <= 1e-9 * abs(psi)
 
     def test_quadform_twice_as_fast_as_funvec(self, rng):
@@ -222,8 +220,7 @@ class TestFunvecValue:
         b = rng.standard_normal(10)
         d = RationalArnoldiDecomposition(DenseOperator(a), b)
         d.step(INF)
-        ident = FunctionTriple(f=lambda x: x)
-        assert np.allclose(funvec_value(d, ident), a @ b, atol=1e-12)
+        assert np.allclose(funvec_value(d, lambda x: x), a @ b, atol=1e-12)
 
     def test_mixed_poles_high_accuracy(self, rng):
         n = 40
@@ -272,7 +269,7 @@ class TestAposterioriBounds:
 
     def test_entropy_triple_derivatives(self):
         x = np.linspace(0.1, 2.0, 50)
-        assert np.allclose(ENTROPY.f(x), -XLOGX.f(x))
+        assert np.allclose(ENTROPY(x), -XLOGX(x))
 
 
 TINY = np.finfo(float).tiny
@@ -467,16 +464,15 @@ class TestBoundsAgainstReference:
         _check_certified(d, SpectralInterval(0.0, 3.0))
 
     def test_other_functions_are_refused(self, rng):
-        sqrt = FunctionTriple(f=np.sqrt)
         a, _, _ = random_spd(20, rng)
         d = RationalArnoldiDecomposition(DenseOperator(a), rng.standard_normal(20))
         d.step(INF)
         iv = SpectralInterval(0.5, 3.0)
         for bound_fn in (aposteriori_bounds, funvec_aposteriori):
             with pytest.raises(ValueError, match="ENTROPY and XLOGX"):
-                bound_fn(d, sqrt, iv)
+                bound_fn(d, np.sqrt, iv)
         with pytest.raises(ValueError, match="ENTROPY and XLOGX"):
-            adaptive_quadform(DenseOperator(a), rng.standard_normal(20), sqrt, iv, 1e-6)
+            adaptive_quadform(DenseOperator(a), rng.standard_normal(20), np.sqrt, iv, 1e-6)
 
     def test_spectrum_recomputed_after_each_step(self, rng):
         a, _, _ = random_spd(30, rng)
@@ -610,7 +606,7 @@ class TestPoleSwap:
         v_before = d.V[:, : d.nbasis].copy()
         proj_full_before = v_before.T @ a @ v_before
         w, u = np.linalg.eigh(0.5 * (proj_full_before + proj_full_before.T))
-        psi_before = d.b_norm**2 * float((np.asarray(XLOGX.f(w)) * u[0, :] ** 2).sum())
+        psi_before = d.b_norm**2 * float((np.asarray(XLOGX(w)) * u[0, :] ** 2).sum())
         d.swap_last_pole_to_infinity()
         v_after = d.V[:, : d.nbasis]
         # principal angles of the full basis span
@@ -618,7 +614,7 @@ class TestPoleSwap:
         assert np.all(np.abs(sv - 1.0) <= 1e-10)
         proj_full_after = v_after.T @ a @ v_after
         w2, u2 = np.linalg.eigh(0.5 * (proj_full_after + proj_full_after.T))
-        psi_after = d.b_norm**2 * float((np.asarray(XLOGX.f(w2)) * u2[0, :] ** 2).sum())
+        psi_after = d.b_norm**2 * float((np.asarray(XLOGX(w2)) * u2[0, :] ** 2).sum())
         assert psi_after == pytest.approx(psi_before, rel=1e-12)
 
 
@@ -699,27 +695,29 @@ class TestAdaptiveQuadform:
 
 class TestDesingularized:
     def test_ones_vector_returns_zero(self):
+        # the kernel of a graph-Laplacian density: f(rho) 1 = f(0) 1 = 0
         rho = laplacian_density(cycle_graph(10))
-        iv = SpectralInterval(0.01, 0.5)
-        res = desingularized_quadform(rho, np.ones(10), ENTROPY, iv, tol_abs=1e-8)
-        assert res.value == pytest.approx(0.0, abs=1e-14)
-        assert res.converged
+        provider = KrylovEntropyProvider(rho, SpectralInterval(0.01, 0.5))
+        assert provider.desingularize
+        assert provider.quadform(np.ones(10), tol_abs=1e-8) == 0.0
+        assert np.array_equal(provider.apply(np.ones(10)), np.zeros(10))
+        assert (provider.poly_iters, provider.rational_iters) == (0, 0)
 
     def test_matches_dense_oracle(self, rng):
         rho = laplacian_density(random_connected_graph(60, 80, rng))
         dense = rho.matrix.todense()
         w, u = dense_sym_eig(dense)
         w = np.clip(w, 0.0, None)
-        fa = (u * np.asarray(ENTROPY.f(w))) @ u.T
+        fa = (u * np.asarray(ENTROPY(w))) @ u.T
         nz = w[w > 1e-12]
         iv = SpectralInterval(nz.min() * 0.9, w.max() * 1.1)
+        provider = KrylovEntropyProvider(rho, iv)
         for _ in range(3):
             b = rng.standard_normal(60)
-            res = desingularized_quadform(
-                rho, b, ENTROPY, iv, tol_abs=1e-9, pole_source=eds_poles(iv, 20)
-            )
+            res = desingularized_forms(rho, b, iv, tol_abs=1e-9, pole_source=eds_poles(iv, 20))
             assert res.converged
             assert res.value == pytest.approx(float(b @ fa @ b), abs=2e-9)
+            assert provider.quadform(b, tol_abs=1e-9) == pytest.approx(float(b @ fa @ b), abs=2e-9)
 
     def test_effective_interval_pairing_on_cycle(self, rng):
         # convergence on C_100 matches a synthetic matrix with the kernel removed
@@ -730,9 +728,7 @@ class TestDesingularized:
         iv = SpectralInterval(w[keep].min(), w.max())
         seq = eds_poles(iv, 30)
         b = rng.standard_normal(n)
-        res = desingularized_quadform(
-            rho, b, ENTROPY, iv, tol_abs=1e-10, pole_source=seq
-        )
+        res = desingularized_forms(rho, b, iv, tol_abs=1e-10, pole_source=seq)
         c = b - b.mean()
         coeffs = u[:, keep].T @ c
         synth = DenseOperator(np.diag(w[keep]))
@@ -820,7 +816,7 @@ class TestDesingularizationConsistency:
         tol = 1e-9
         for _ in range(3):
             b = rng.standard_normal(80)
-            res_d = desingularized_quadform(rho, b, ENTROPY, iv_desing, tol_abs=tol)
+            res_d = desingularized_forms(rho, b, iv_desing, tol_abs=tol)
             res_p = adaptive_quadform(
                 ShiftedOperator(rho.matrix), b, ENTROPY, iv_plain, tol_abs=tol
             )

@@ -27,13 +27,12 @@ from vnentropy.krylov import (
     adaptive_funvec,
     adaptive_quadform,
     aposteriori_bounds,
-    desingularized_quadform,
     eds_poles,
     group_size,
 )
 from vnentropy.sparse import SpectralInterval, laplacian_interval
 
-from conftest import laplacian_density, path_graph
+from conftest import desingularized_forms, laplacian_density, path_graph
 
 FIELDS = (
     "value", "poly_iters", "rational_iters", "bound_lower", "bound_upper",
@@ -57,9 +56,9 @@ def k(request):
 
 def _desingularized_pair(rho, block, tols, **kwargs):
     iv = laplacian_interval(rho)
-    group = desingularized_quadform(rho, block, ENTROPY, iv, tols, **kwargs)
+    group = desingularized_forms(rho, block, iv, tols, **kwargs)
     singles = [
-        desingularized_quadform(rho, block[:, j], ENTROPY, iv, tols[j], **kwargs)
+        desingularized_forms(rho, block[:, j], iv, tols[j], **kwargs)
         for j in range(block.shape[1])
     ]
     return group, singles
@@ -133,7 +132,7 @@ class TestGroupsMatchSingleRuns:
         # three 5-row start bases; with 19-row bases the width is at least 4
         monkeypatch.setattr(krylov, "GROUP_BYTES", 3 * 8 * rho.n * 5)
         assert group_size(rho.n) == 3
-        group = desingularized_quadform(rho, block, ENTROPY, iv, 1e-8, **kwargs)
+        group = desingularized_forms(rho, block, iv, 1e-8, **kwargs)
         assert_bitwise(group, singles)
         assert_bitwise(adaptive_funvec(op, block, ENTROPY, wide, 1e-8), funvec_singles)
 
@@ -144,7 +143,7 @@ class TestGroupsMatchSingleRuns:
         iv = laplacian_interval(rho)
         block = rng.standard_normal((rho.n, 8))
         tols = [1e-2, 1e-8] * 4
-        singles = [desingularized_quadform(rho, block[:, j], ENTROPY, iv, tols[j]) for j in range(8)]
+        singles = [desingularized_forms(rho, block[:, j], iv, tols[j]) for j in range(8)]
         monkeypatch.setattr(krylov, "GROUP_BYTES", 4 * 8 * rho.n * 5)
         assert (krylov.start_rows(rho.n), group_size(rho.n)) == (5, 4)
         live_at_grow, grow = [], krylov.ArnoldiGroup._grow
@@ -154,7 +153,7 @@ class TestGroupsMatchSingleRuns:
             grow(group)
 
         monkeypatch.setattr(krylov.ArnoldiGroup, "_grow", spy)
-        group = desingularized_quadform(rho, block, ENTROPY, iv, tols)
+        group = desingularized_forms(rho, block, iv, tols)
         assert_bitwise(group, singles)
         assert live_at_grow and max(live_at_grow) == 2
         assert max(r.dim for r in group[::2]) < 5 < min(r.dim for r in group[1::2])
@@ -220,7 +219,7 @@ class TestPinnedResults:
         rho = laplacian_density(barabasi_albert_adjacency(150, 2, 11))
         iv = laplacian_interval(rho)
         block = np.random.default_rng(11).standard_normal((rho.n, 6))
-        results = desingularized_quadform(rho, block, ENTROPY, iv, 1e-7, pole_source=eds_poles(iv, 40))
+        results = desingularized_forms(rho, block, iv, 1e-7, pole_source=eds_poles(iv, 40))
         self._check(results, self.BA)
         w, u = np.linalg.eigh(rho.matrix.todense())
         w = np.maximum(w, 0.0)
@@ -232,8 +231,8 @@ class TestPinnedResults:
         rho = laplacian_density(path_graph(200))
         iv = laplacian_interval(rho)
         block = np.random.default_rng(200).standard_normal((rho.n, 3))
-        results = desingularized_quadform(
-            rho, block, ENTROPY, iv, 1e-9, pole_source=eds_poles(iv, 40), stop="bound"
+        results = desingularized_forms(
+            rho, block, iv, 1e-9, pole_source=eds_poles(iv, 40), stop="bound"
         )
         self._check(results, self.PATH)
 
@@ -251,8 +250,8 @@ class TestPinnedResults:
         rho = laplacian_density(grid2d_adjacency(20))
         iv = laplacian_interval(rho)
         block = np.random.default_rng(20).standard_normal((rho.n, 4))
-        results = desingularized_quadform(
-            rho, block, ENTROPY, iv, 1e-10, pole_source=eds_poles(iv, 40), stop="bound"
+        results = desingularized_forms(
+            rho, block, iv, 1e-10, pole_source=eds_poles(iv, 40), stop="bound"
         )
         self._check(results, self.GRID)
 
@@ -415,6 +414,13 @@ class TestTailStopsWhereTheRuleDoes:
             _hutchinson_tail(provider, 1.5, 1e-2, 4, None, spent=8, max_total=max_total)
         assert provider.forms == len(serial) - 1
 
+    def test_tail_that_cannot_meet_its_bound_stops_early(self, provider):
+        # the rule is sure to want more than the default budget of 10 000
+        # after the first block, so no further form is computed
+        with pytest.raises(NonConvergenceError, match="exceeded the vector budget 10000"):
+            _hutchinson_tail(provider, 1e-12, 1e-2, 4, None)
+        assert 0 < provider.forms <= provider.group_size
+
 
 class TestStackedFinish:
     def test_values_equal_quadform_value_of_each_member(self, monkeypatch):
@@ -432,8 +438,8 @@ class TestStackedFinish:
             finish(run, fun, value, *rest)
 
         monkeypatch.setattr(krylov._Run, "finish", spy)
-        results = desingularized_quadform(
-            rho, block, ENTROPY, iv, 1e-10, pole_source=eds_poles(iv, 40), stop="bound"
+        results = desingularized_forms(
+            rho, block, iv, 1e-10, pole_source=eds_poles(iv, 40), stop="bound"
         )
         assert len(finished) == 5
         assert all(value == single for value, single, _, _ in finished)

@@ -249,6 +249,14 @@ class TestNormalizeAndRescale:
 
 
 class TestMatvec:
+    def test_row_indices_align_with_entries(self, rng):
+        assert path_graph(3).row_indices().tolist() == [0, 1, 1, 2]
+        mat = random_connected_graph(30, 40, rng)
+        rows = mat.row_indices()
+        assert rows.shape == mat.col_idx.shape
+        assert np.array_equal(mat.todense()[rows, mat.col_idx], mat.values)
+        assert np.array_equal(rows, np.nonzero(mat.todense())[0])
+
     def test_identity(self, rng):
         n = 9
         eye = from_coo(n, range(n), range(n), np.ones(n))
@@ -420,7 +428,7 @@ def _weighted_graph(n, extra_edges, seed):
     """Random connected graph with edge weights in [0.1, 10]."""
     rng = np.random.default_rng(seed)
     pattern = random_connected_graph(n, extra_edges, rng)
-    rows = np.repeat(np.arange(n), np.diff(pattern.row_ptr))
+    rows = pattern.row_indices()
     upper = rows < pattern.col_idx
     r, c = rows[upper], pattern.col_idx[upper]
     w = rng.uniform(0.1, 10.0, r.size)
