@@ -117,9 +117,12 @@ def _apply_config(args, argv):
 
 
 def _binarized_adjacency(mat: SparseSymMatrix) -> SparseSymMatrix:
-    """All edge weights set to one, diagonal dropped (graph convention)."""
+    """All edge weights set to one, diagonal dropped (graph convention); a
+    loop-free pattern comes back unchanged."""
     rows = mat.row_indices()
     off = rows != mat.col_idx
+    if mat.is_pattern and off.all() and (mat.values == 1.0).all():
+        return mat
     return from_coo(
         mat.n, rows[off], mat.col_idx[off], np.ones(int(off.sum())), is_pattern=True
     )

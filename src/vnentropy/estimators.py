@@ -10,7 +10,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import qr as scipy_qr
-from scipy.special import gammaincinv, ndtri
 
 from .bounds import select_d_apriori
 from .coloring import Coloring, make_coloring, probing_vector_dense
@@ -502,7 +501,10 @@ def _required_count(n: int, var: float, eps_hat, delta) -> int:
 
 @lru_cache(maxsize=1024)
 def _tail_factors(n: int, delta: float):
-    """(z^2, chi-square inflation capped at 20) of the tail bound for n >= 2 samples."""
+    """(z^2, chi-square inflation capped at 20) of the tail bound for n >= 2
+    samples; the package's only use of scipy.special, imported on first call."""
+    from scipy.special import gammaincinv, ndtri
+
     z = ndtri(1.0 - delta / 4.0)
     chi2_q = 2.0 * gammaincinv((n - 1) / 2.0, delta / 4.0)
     return z * z, min(20.0, (n - 1) / max(chi2_q, 1e-12))
@@ -535,7 +537,7 @@ def adaptive_hutchpp(
     if eps_hat <= 0 or not 0 < delta < 1:
         raise ValueError("need eps_hat > 0 and delta in (0, 1)")
     n = provider.n
-    z = ndtri(1.0 - delta / 4.0)
+    z2, _ = _tail_factors(MIN_HUTCH_SAMPLES, delta)
     q = np.zeros((n, 0))
     t_low = 0.0
     n_rank = 0
@@ -553,7 +555,7 @@ def adaptive_hutchpp(
         # marginal value of one more deflation vector, via the smallest
         # quadratic form captured this round as an eigenvalue proxy
         q_min = min(abs(v) for v in round_forms) if round_forms else 0.0
-        saving = z * z * 2.0 * q_min**2 / eps_hat**2
+        saving = z2 * 2.0 * q_min**2 / eps_hat**2
         if saving <= DEFLATION_COST_RATIO or q_new.shape[1] < block:
             break
         block = min(n_rank, n - n_rank, max_total // 2 - n_rank, max_rank - n_rank)

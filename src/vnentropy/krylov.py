@@ -13,7 +13,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ellipj, ellipkm1
 
 from .solver import PoleSolver
 from .sparse import SparseSymMatrix, SpectralInterval, matvec
@@ -75,6 +74,22 @@ class PoleSequence:
         return self.poles[j]
 
 
+def _amplitude(t, mu):
+    """am(t K | 1 - mu^2) for t in [0, 1] by the arithmetic-geometric mean of
+    (1, mu), Abramowitz & Stegun 17.6 and 16.4: K = pi / (2 a_N), so the
+    scale 2^N a_N t K is 2^(N-1) pi t. Starting from mu, not from 1 - mu^2,
+    keeps its digits; with no step (mu = 1) the amplitude is t pi / 2."""
+    a, b = 1.0, mu
+    ratios = []  # c_n / a_n
+    while a - b > 1e-15 * a:
+        ratios.append((a - b) / (a + b))
+        a, b = (a + b) / 2.0, math.sqrt(a * b)
+    phi = (2.0 ** (len(ratios) - 1) * math.pi) * t
+    for r in reversed(ratios):
+        phi = (phi + np.arcsin(r * np.sin(phi))) / 2.0
+    return phi
+
+
 def eds_poles(interval: SpectralInterval, m: int) -> PoleSequence:
     """Nested negative poles equidistributed per the Zolotarev limit measure
     of the condenser ([a, b], (-inf, 0]).
@@ -93,16 +108,13 @@ def eds_poles(interval: SpectralInterval, m: int) -> PoleSequence:
     kappa = b / a
     w = 2.0 * kappa - 1.0
     mu = 1.0 / (w + np.sqrt(w * w - 1.0))
-    m_ell = 1.0 - mu * mu
-    big_k = float(ellipkm1(mu * mu))
     golden = (np.sqrt(5.0) - 1.0) / 2.0
-    j = np.arange(1, m + 1)
-    t = (j * golden) % 1.0
-    _, _, dn, _ = ellipj(t * big_k, m_ell)
-    # guard the m_ell -> 1 rounding at extreme b/a: keep x inside the plate
-    dn = np.clip(dn, mu * (1.0 + 1e-12), 1.0)
-    x = -dn
-    xi = (2.0 * mu * b / (1.0 + mu)) * (1.0 + x) / (x + mu)
+    phi = _amplitude((np.arange(1, m + 1) * golden) % 1.0, mu)
+    # the pull-back of x = -dn is -(2 mu b / (1 + mu)) (1 - dn) / (dn - mu);
+    # with k^2 = 1 - mu^2, 1 - dn = k^2 sn^2 / (1 + dn) and dn - mu =
+    # k^2 cn^2 / (dn + mu) take out the cancellations as dn -> 1 or dn -> mu
+    dn = np.hypot(np.cos(phi), mu * np.sin(phi))
+    xi = -(2.0 * mu * b / (1.0 + mu)) * np.tan(phi) ** 2 * (dn + mu) / (1.0 + dn)
     # poles far below the spectrum act like the excluded xi = 0 and would
     # amplify the deflated kernel through the shifted solves; floor them
     xi = -np.clip(-xi, a / 100.0, 1e300)

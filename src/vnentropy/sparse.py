@@ -311,11 +311,12 @@ def largest_component(mat: SparseSymMatrix):
     Returns (submatrix, old_to_new) where old_to_new[i] is the new index of
     node i, or -1 for dropped nodes. Size ties go to the component holding
     the smallest original node index (components are discovered in index
-    order, and the first maximum wins).
+    order, and the first maximum wins). A connected matrix comes back
+    unchanged, with the identity map.
     """
-    if mat.n == 0:
-        return mat, np.empty(0, dtype=np.int64)
     ncomp, labels = connected_components(mat.pattern(), directed=False)
+    if ncomp <= 1:
+        return mat, np.arange(mat.n)
     sizes = np.bincount(labels, minlength=ncomp)
     target = int(np.argmax(sizes))
     keep = labels == target

@@ -6,12 +6,14 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 import vnentropy
 from vnentropy import cli
 from vnentropy.cli import REPORT_SCHEMA, main
-from vnentropy.sparse import dense_entropy_oracle
+from vnentropy.generators import barabasi_albert_adjacency
+from vnentropy.sparse import dense_entropy_oracle, from_coo, largest_component, write_matrix_market
 
 
 def run_cli(args, capsys):
@@ -479,14 +481,85 @@ class TestThreads:
         assert out1["value"] == out2["value"]
 
 
+class TestLoadDensity:
+    def test_loop_free_pattern_not_rebuilt(self):
+        adj = barabasi_albert_adjacency(30, 2, 5)
+        assert cli._binarized_adjacency(adj) is adj
+
+    @staticmethod
+    def _report(path, capsys):
+        code, out, _ = run_cli(
+            ["entropy", "--in", str(path), "--eps", "1e-6", "--stop", "bound", "--seed", "7"], capsys
+        )
+        assert code == 0
+        report = json.loads(strip_wall_time(out))
+        report.pop("matrix")
+        return report
+
+    @pytest.mark.parametrize("kind", ["weighted", "self-loops", "disconnected"])
+    def test_other_inputs_rebuilt(self, kind, tmp_path, capsys):
+        # each file loads as the loop-free, unweighted, connected graph it contains
+        adj = barabasi_albert_adjacency(30, 2, 5)
+        rows, cols = adj.row_indices(), adj.col_idx
+        if kind == "weighted":
+            mat = from_coo(30, rows, cols, 1.0 + np.minimum(rows, cols) + 0.5 * np.maximum(rows, cols))
+        elif kind == "self-loops":
+            loops = np.arange(0, 30, 7)
+            mat = from_coo(
+                30, np.r_[rows, loops], np.r_[cols, loops], np.ones(adj.nnz + loops.size), is_pattern=True
+            )
+        else:
+            tail = np.arange(30, 34)  # a path on 4 more nodes
+            rows, cols = np.r_[rows, tail[:-1], tail[1:]], np.r_[cols, tail[1:], tail[:-1]]
+            mat = from_coo(34, rows, cols, np.ones(rows.size), is_pattern=True)
+        assert largest_component(cli._binarized_adjacency(mat))[0] is not mat
+        (tmp_path / "graph.mtx").write_text(write_matrix_market(adj))
+        (tmp_path / "input.mtx").write_text(write_matrix_market(mat))
+        assert self._report(tmp_path / "input.mtx", capsys) == self._report(tmp_path / "graph.mtx", capsys)
+
+
+def _src_env():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vnentropy.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestImportCost:
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats alone took about 0.9 s of every CLI start
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(vnentropy.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = "import sys, vnentropy.cli; print('scipy.stats' in sys.modules)"
         run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
         )
         assert run.stdout.strip() == "False"
+
+    @staticmethod
+    def _cli_run(tmp_path, *args):
+        """(exit code, whether scipy.special was loaded, report) of one CLI run
+        in a fresh interpreter."""
+        target = tmp_path / "report.json"
+        code = "import sys; from vnentropy.cli import main; print(main(sys.argv[1:]), 'scipy.special' in sys.modules)"
+        run = subprocess.run(
+            [sys.executable, "-c", code, "entropy", *args, "--json", str(target)],
+            env=_src_env(), capture_output=True, text=True, check=True,
+        )
+        rc, loaded = run.stdout.split()
+        return int(rc), loaded == "True", json.loads(target.read_text())
+
+    @pytest.mark.parametrize("flags, rational", [
+        ((), False),
+        (("--stop", "bound", "--d", "3", "--eps", "1e-8"), True),
+    ])
+    def test_probing_leaves_scipy_special_unloaded(self, tmp_path, flags, rational):
+        # scipy.special cost about 0.035 s of every probing run; the EDS poles
+        # of the rational phase come from the AGM instead
+        rc, loaded, report = self._cli_run(tmp_path, "--gen", "grid2d:20", "--method", "probing", *flags)
+        assert rc == 0 and not loaded
+        assert (report["rat_iters"] > 0) == rational
+
+    def test_hutchpp_loads_scipy_special_for_its_tail(self, tmp_path):
+        rc, loaded, report = self._cli_run(
+            tmp_path, "--gen", "grid2d:12", "--method", "hutchpp", "--eps", "1e-2", "--seed", "3"
+        )
+        assert rc == 0 and loaded and np.isfinite(report["value"])

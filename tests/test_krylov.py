@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -79,6 +82,61 @@ class TestEdsPoles:
             PoleSequence(poles=(0.0,))
         with pytest.raises(ValueError):
             PoleSequence(poles=(1.0,))
+
+    @staticmethod
+    def _mu_and_t(kappa, m):
+        # the conformal modulus and Weyl points exactly as eds_poles forms them
+        w = 2.0 * kappa - 1.0
+        golden = (np.sqrt(5.0) - 1.0) / 2.0
+        return 1.0 / (w + np.sqrt(w * w - 1.0)), (np.arange(1, m + 1) * golden) % 1.0
+
+    @pytest.mark.parametrize("kappa", [1 + 1e-12, 1 + 1e-6, 1.5, 10.0, 1e2, 1e3])
+    def test_amplitude_matches_scipy(self, kappa):
+        from scipy.special import ellipj, ellipkm1
+
+        mu, t = self._mu_and_t(kappa, 150)
+        phi = ellipj(t * ellipkm1(mu * mu), 1.0 - mu * mu)[3]
+        np.testing.assert_allclose(krylov._amplitude(t, mu), phi, rtol=1e-12, atol=0)
+
+    def test_amplitude_without_agm_step(self):
+        # mu = 1 is the modulus m = 0: am(u | 0) = u and K = pi / 2, so dn = 1
+        t = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(krylov._amplitude(t, 1.0), t * (math.pi / 2))
+
+    @pytest.mark.parametrize("kappa, rtol", [(1 + 1e-12, 1e-13), (2.0, 1e-13), (1e3, 1e-11), (1e6, 1e-8)])
+    def test_poles_match_mpmath(self, kappa, rtol):
+        # 40-digit poles for the same float mu and Weyl points; poles from
+        # scipy's ellipj were 1.2e-8 off at kappa = 1 + 1e-12 and 4.9e-4 at 1e6
+        mu, t = self._mu_and_t(kappa, 40)
+        with mpmath.workdps(40):
+            mmu, m_ell = mpmath.mpf(mu), 1 - mpmath.mpf(mu) ** 2
+            big_k = mpmath.ellipk(m_ell)
+            ref = []
+            for tj in t:
+                dn = mpmath.ellipfun("dn", mpmath.mpf(tj) * big_k, m=m_ell)
+                xi = 2 * mmu * kappa / (1 + mmu) * (1 - dn) / (mmu - dn)
+                ref.append(float(min(xi, mpmath.mpf(-1) / 100)))
+        got = eds_poles(SpectralInterval(1.0, kappa), 40).poles
+        np.testing.assert_allclose(got, ref, rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("kappa", [1 + 1e-12, 1e4, 1e6, 1e7, 1e8])
+    def test_extreme_ratios_finite_negative_nested(self, kappa):
+        # RuntimeWarnings are errors under the suite's configuration
+        iv = SpectralInterval(2.0, 2.0 * kappa)
+        poles = np.array(eds_poles(iv, 150).poles)
+        assert np.all(np.isfinite(poles)) and np.all(poles <= -iv.a / 100.0)
+        assert eds_poles(iv, 40).poles == tuple(poles[:40].tolist())
+
+    def test_old_dn_guard_unreachable(self):
+        # the scipy route clipped dn into [mu (1 + 1e-12), 1] before dividing
+        # by dn - mu; along the AGM route dn stays inside by itself, and the
+        # pole formula divides by cn^2 instead
+        for kappa in np.concatenate([[1 + 1e-12, 1 + 1e-9], np.logspace(0.01, 8, 60)]):
+            mu, t = self._mu_and_t(kappa, 150)
+            phi = krylov._amplitude(t, mu)
+            dn = np.hypot(np.cos(phi), mu * np.sin(phi))
+            assert np.all((0 < phi) & (phi < math.pi / 2))
+            assert np.all((dn > mu * (1.0 + 1e-12)) & (dn <= 1.0))
 
     def test_convergence_rate_mixed_schedule(self, rng):
         a, nodes = chebyshev_diag(500)

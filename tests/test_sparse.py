@@ -152,10 +152,8 @@ class TestLargestComponent:
     def test_connected_identity_map(self, rng):
         mat = random_connected_graph(30, 30, rng)
         sub, mapping = largest_component(mat)
-        assert sub.n == 30
+        assert sub is mat  # nothing to drop, so nothing is rebuilt
         assert np.array_equal(mapping, np.arange(30))
-        sub2, _ = largest_component(sub)
-        assert np.array_equal(sub2.todense(), sub.todense())
 
     def test_tie_breaks_to_smallest_index(self):
         # two disjoint edges: both size 2, component containing node 0 wins
