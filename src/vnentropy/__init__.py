@@ -66,9 +66,7 @@ from .sparse import (
     matvec,
     normalize_trace,
     parse_matrix_market,
-    read_binary_cache,
     spectral_interval,
-    write_binary_cache,
     write_matrix_market,
 )
 

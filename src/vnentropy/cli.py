@@ -72,6 +72,14 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line parse errors raise CliError (exit 3, one error: line)
+    instead of printing the usage and exiting 2, which means non-convergence."""
+
+    def error(self, message):
+        raise CliError(message, EXIT_CONFIG)
+
+
 def _load_config(path):
     values = {}
     try:
@@ -357,7 +365,7 @@ def cmd_bench_scaling(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vnentropy",
         description="Von Neumann entropy of sparse PSD matrices via probing, "
         "stochastic trace estimation and rational Krylov methods.",
@@ -437,8 +445,8 @@ def build_parser():
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args = _apply_config(args, argv)
         _check_flags(args)
         return args.func(args)

@@ -105,7 +105,8 @@ class KrylovEntropyProvider:
     ):
         self.n = density.n
         self.interval = laplacian_interval(density) if interval is None else interval
-        self.pole_source = eds_poles(self.interval, 40) if self.interval.a > 0 else None
+        # EDS poles need 0 < a < b; a = b only when rho is a multiple of I
+        self.pole_source = eds_poles(self.interval, 40) if 0 < self.interval.a < self.interval.b else None
         self.op = ShiftedOperator(density.matrix, PoleSolver(density.matrix, solver_backend))
         self.stop = stop
         self.desingularize = float(np.abs(density.matrix.matvec(np.ones(self.n))).max()) <= 1e-12

@@ -1,12 +1,12 @@
 """Shifted SPD solves (tau I + A) x = y, tau > 0, for the rational Krylov
 engine (tau = -xi for a pole xi < 0): SuperLU factors cached per shift, and
-a Jacobi-preconditioned conjugate gradient fallback."""
+scipy's Jacobi-preconditioned conjugate gradient as the fallback."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.sparse.linalg import LinearOperator, SuperLU, cg, splu
 
 from .sparse import SparseSymMatrix, matvec
 
@@ -59,33 +59,23 @@ def cg_solve(
     tol_rel: float = 1e-10,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Jacobi-preconditioned CG on tau I + A, tau > 0, returning x with
-    (tau I + A) x = y and ||r|| / ||y|| <= tol_rel."""
+    """Jacobi-preconditioned CG (scipy) on tau I + A, tau > 0, returning x
+    with (tau I + A) x = y and ||r|| / ||y|| <= tol_rel; RuntimeError after
+    max_iter iterations (default max(1000, 10 n)) without convergence."""
     if not tau > 0:
         raise ValueError("shift must be positive")
-    norm_y = np.linalg.norm(y)
-    if norm_y == 0:
+    if not y.any():  # scipy would hand back y itself
         return np.zeros_like(y)
-    if max_iter is None:
-        max_iter = max(1000, 10 * mat.n)
+    n = mat.n
+    shifted = LinearOperator((n, n), matvec=lambda p: matvec(mat, p) + tau * p, dtype=float)
     dinv = 1.0 / (tau + mat.diagonal())
-    x = np.zeros_like(y)
-    r = y.copy()
-    z = dinv * r
-    p = z.copy()
-    rz = r @ z
-    for _ in range(max_iter):
-        ap = matvec(mat, p) + tau * p
-        alpha = rz / (p @ ap)
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= tol_rel * norm_y:
-            return x
-        z = dinv * r
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise RuntimeError(f"CG did not converge in {max_iter} iterations")
+    jacobi = LinearOperator((n, n), matvec=lambda r: dinv * r, dtype=float)
+    if max_iter is None:
+        max_iter = max(1000, 10 * n)
+    x, info = cg(shifted, y, rtol=tol_rel, atol=0.0, maxiter=max_iter, M=jacobi)
+    if info:
+        raise RuntimeError(f"CG did not converge in {max_iter} iterations")
+    return x
 
 
 class PoleSolver:

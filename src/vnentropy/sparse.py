@@ -3,9 +3,9 @@ dense reference oracle used throughout the test suite."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
+from io import BytesIO
 from typing import Literal
 
 import numpy as np
@@ -124,79 +124,30 @@ def _check_structural_symmetry(mat: SparseSymMatrix) -> None:
 def parse_matrix_market(data) -> SparseSymMatrix:
     """Parse a Matrix Market coordinate file into a SparseSymMatrix.
 
-    Accepts field real/integer/pattern and symmetry symmetric/general;
+    ``data`` is bytes, str or a readable file object. Accepts field
+    real/integer/pattern and symmetry symmetric/general of a square matrix;
     general input must be structurally symmetric. For symmetric files only
     one triangle is stored in the file and the transpose is materialized.
+    The entries are read by ``scipy.io.mmread``, loaded here so that runs
+    on generated graphs never import ``scipy.io``.
     """
-    if isinstance(data, bytes):
-        text = data.decode("ascii", errors="replace")
-    elif isinstance(data, str):
-        text = data
-    else:
-        text = data.read()
-        if isinstance(text, bytes):
-            text = text.decode("ascii", errors="replace")
-    lines = text.splitlines()
-    if not lines:
-        raise MatrixFormatError("empty input")
-    header = lines[0].strip().split()
-    if (
-        len(header) != 5
-        or header[0] != "%%MatrixMarket"
-        or header[1].lower() != "matrix"
-        or header[2].lower() != "coordinate"
-    ):
-        raise MatrixFormatError(f"unsupported header: {lines[0]!r}")
-    fmt = header[3].lower()
-    sym = header[4].lower()
-    if fmt not in ("real", "integer", "pattern"):
-        raise MatrixFormatError(f"unsupported field {fmt!r}")
-    if sym not in ("symmetric", "general"):
-        raise MatrixFormatError(f"unsupported symmetry {sym!r}")
-    pos = 1
-    while pos < len(lines) and (lines[pos].startswith("%") or not lines[pos].strip()):
-        pos += 1
-    if pos >= len(lines):
-        raise MatrixFormatError("missing size line")
-    size = lines[pos].split()
-    if len(size) != 3:
-        raise MatrixFormatError(f"bad size line: {lines[pos]!r}")
-    nrows, ncols, nnz = (int(tok) for tok in size)
-    if nrows != ncols:
-        raise MatrixFormatError("matrix is not square")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    k = 0
-    for line in lines[pos + 1 :]:
-        line = line.strip()
-        if not line or line.startswith("%"):
-            continue
-        tok = line.split()
-        if fmt == "pattern":
-            if len(tok) < 2:
-                raise MatrixFormatError(f"bad entry: {line!r}")
-            i, j, v = int(tok[0]), int(tok[1]), 1.0
-        else:
-            if len(tok) < 3:
-                raise MatrixFormatError(f"bad entry: {line!r}")
-            i, j, v = int(tok[0]), int(tok[1]), float(tok[2])
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
-            raise MatrixFormatError(f"index out of range: {line!r}")
-        if k >= nnz:
-            raise MatrixFormatError("more entries than declared")
-        rows[k], cols[k], vals[k] = i - 1, j - 1, v
-        k += 1
-    if k != nnz:
-        raise MatrixFormatError(f"expected {nnz} entries, found {k}")
-    if sym == "symmetric":
-        off = rows != cols
-        rows, cols, vals = (
-            np.concatenate([rows, cols[off]]),
-            np.concatenate([cols, rows[off]]),
-            np.concatenate([vals, vals[off]]),
-        )
-    return from_coo(nrows, rows, cols, vals, is_pattern=(fmt == "pattern"))
+    from scipy.io import mminfo, mmread
+
+    if hasattr(data, "read"):
+        data = data.read()
+    if isinstance(data, str):
+        data = data.encode()
+    try:
+        nrows, ncols, _, fmt, field, symmetry = mminfo(BytesIO(data))
+        # mmread also reads array, complex, hermitian and skew-symmetric files
+        if fmt != "coordinate" or field == "complex" or symmetry not in ("symmetric", "general"):
+            raise ValueError(f"unsupported kind: {fmt} {field} {symmetry}")
+        if nrows != ncols:
+            raise ValueError("matrix is not square")
+        coo = mmread(BytesIO(data))
+    except (ValueError, OverflowError) as exc:
+        raise MatrixFormatError(str(exc)) from exc
+    return from_coo(nrows, coo.row, coo.col, coo.data, is_pattern=(field == "pattern"))
 
 
 def write_matrix_market(mat: SparseSymMatrix) -> str:
@@ -212,34 +163,6 @@ def write_matrix_market(mat: SparseSymMatrix) -> str:
     else:
         lines.extend(f"{i + 1} {j + 1} {x:.17g}" for i, j, x in zip(r, c, v))
     return "\n".join(lines) + "\n"
-
-
-_CACHE_MAGIC = b"ENTR"
-_CACHE_VERSION = 1
-
-
-def write_binary_cache(mat: SparseSymMatrix, path) -> None:
-    """Binary cache: magic "ENTR", u32 version, u8 pattern flag, u64 n and
-    nnz, then raw little-endian CSR arrays (int64 ptr/idx, float64 values)."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<IBQQ", _CACHE_VERSION, int(mat.is_pattern), mat.n, mat.nnz))
-        fh.write(mat.row_ptr.astype("<i8").tobytes())
-        fh.write(mat.col_idx.astype("<i8").tobytes())
-        fh.write(mat.values.astype("<f8").tobytes())
-
-
-def read_binary_cache(path) -> SparseSymMatrix:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _CACHE_MAGIC:
-            raise MatrixFormatError("bad cache magic")
-        version, pat, n, nnz = struct.unpack("<IBQQ", fh.read(21))
-        if version != _CACHE_VERSION:
-            raise MatrixFormatError(f"unsupported cache version {version}")
-        row_ptr = np.frombuffer(fh.read(8 * (n + 1)), dtype="<i8").astype(np.int64)
-        col_idx = np.frombuffer(fh.read(8 * nnz), dtype="<i8").astype(np.int64)
-        values = np.frombuffer(fh.read(8 * nnz), dtype="<f8").astype(np.float64)
-    return SparseSymMatrix(int(n), row_ptr, col_idx, values, bool(pat))
 
 
 @dataclass(frozen=True)
@@ -262,18 +185,17 @@ class SpectralInterval:
     ``provenance`` is ``"closed-form"`` when ``laplacian_interval`` derived
     both ends for a connected graph-Laplacian density: then a <= lambda_2
     and lambda_max <= b are certified, and ``diameter_bound`` holds the
-    certified D >= diameter of the graph that a was derived from.
-    Otherwise it is ``"ritz-uncertified"`` and a is 0.5 x a Ritz value that
-    certifies nothing (on the path graph P_2000 it is 11.9 lambda_2). b is
-    then certified when it is the Gershgorin bound of
-    ``laplacian_interval``'s fallback, and not when it is the widened Ritz
-    value of ``spectral_interval``. Intervals built by hand carry the
-    uncertified default.
+    certified D >= diameter of the graph that a was derived from. It is
+    ``"gershgorin"`` for ``laplacian_interval``'s fallback, whose [a, b]
+    certifiably encloses the whole spectrum. Otherwise it is
+    ``"ritz-uncertified"``: ``spectral_interval``'s widened Ritz values,
+    which certify nothing (on the path graph P_2000 a is 11.9 lambda_2), or
+    an interval built by hand.
     """
 
     a: float
     b: float
-    provenance: Literal["closed-form", "ritz-uncertified"] = "ritz-uncertified"
+    provenance: Literal["closed-form", "gershgorin", "ritz-uncertified"] = "ritz-uncertified"
     diameter_bound: int | None = None
 
 
@@ -475,8 +397,9 @@ def laplacian_interval(density: DensityMatrix) -> SpectralInterval:
 
     Both take one pass over the entries and one BFS, with no product by rho.
     As D >= 2 and b >= 2 max(w), a <= b / 2. Other input gets the
-    Gershgorin bound b = max_i sum_j |rho_ij|, which is certified, and the
-    Ritz a of ``spectral_interval``, which is not.
+    Gershgorin enclosure a = max(0, min_i (rho_ii - sum_{j != i} |rho_ij|))
+    and b = max_i sum_j |rho_ij|; on a disconnected Laplacian a = 0, its
+    smallest eigenvalue.
     """
     mat = density.matrix
     n = mat.n
@@ -496,5 +419,7 @@ def laplacian_interval(density: DensityMatrix) -> SpectralInterval:
             a = 4.0 * float(w.min()) / (n * diameter_bound)
             b = float(w.max()) * float((deg[rows[off]] + deg[mat.col_idx[off]]).max())
             return SpectralInterval(a, b, "closed-form", diameter_bound)
-    gershgorin = float(np.bincount(rows, weights=np.abs(mat.values), minlength=n).max())
-    return SpectralInterval(spectral_interval(mat, desingularize=True).a, gershgorin)
+    abs_sums = np.bincount(rows, weights=np.abs(mat.values), minlength=n)
+    diag = mat.diagonal()
+    a = max(0.0, float((diag - (abs_sums - np.abs(diag))).min()))
+    return SpectralInterval(a, float(abs_sums.max()), "gershgorin")

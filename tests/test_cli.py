@@ -12,7 +12,7 @@ import pytest
 import vnentropy
 from vnentropy import cli
 from vnentropy.cli import REPORT_SCHEMA, main
-from vnentropy.generators import barabasi_albert_adjacency
+from vnentropy.generators import barabasi_albert_adjacency, grid2d_adjacency
 from vnentropy.sparse import dense_entropy_oracle, from_coo, largest_component, write_matrix_market
 
 
@@ -82,6 +82,18 @@ class TestEntropyCommand:
         assert code == 0
         assert json.loads(out)["n"] == 64
 
+    def test_file_input_matches_generator_report(self, tmp_path, capsys):
+        path = tmp_path / "ba.mtx"
+        path.write_text(write_matrix_market(barabasi_albert_adjacency(512, 2, 7)))
+        reports = []
+        for source in (["--in", str(path)], ["--gen", "ba:512:2"]):
+            code, out, _ = run_cli(["entropy", *source, "--seed", "7", "--eps", "1e-4"], capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        for report in reports:
+            del report["matrix"], report["wall_time_s"]
+        assert reports[0] == reports[1]
+
     def test_json_file_output(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -144,6 +156,18 @@ class TestSolverLine:
         assert code == 0 and abs(report["value"] - direct) <= 1e-8 * abs(direct)
 
 
+    @pytest.mark.parametrize("args, value", [
+        (["--gen", "grid2d:30", "--eps", "1e-6", "--stop", "bound", "--d", "3"], 6.619934303276063),
+        (["--gen", "ba:1024:2", "--seed", "7", "--eps", "1e-4"], 6.439709264779201),
+    ], ids=["grid2d:30", "ba:1024:2"])
+    def test_cg_values_match_the_hand_written_loop(self, capsys, args, value):
+        # values of the Jacobi CG loop that scipy's cg replaced
+        code, out, _ = run_cli(["entropy", *args, "--solver", "cg"], capsys)
+        report = json.loads(out)
+        assert code == 0 and report["rat_iters"] > 0
+        assert report["value"] == pytest.approx(value, rel=1e-10)
+
+
 class TestExitCodes:
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
@@ -153,6 +177,29 @@ class TestExitCodes:
             capsys,
         )
         assert code == 1 and "parse" in err
+
+    def test_comment_inside_entries_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n% note\n3 2\n")
+        code, out, err = run_cli(["entropy", "--in", str(bad)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: parse error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--method", "bogus"], ["--eps", "abc"], ["--bogus"]],
+        ids=["bad-choice", "non-numeric", "unknown-flag"],
+    )
+    def test_usage_error_is_config_error(self, capsys, flags):
+        code, out, err = run_cli(["entropy", "--gen", "grid2d:8", *flags], capsys)
+        assert code == 3 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    def test_help_exits_zero(self):
+        run = subprocess.run(
+            [sys.executable, "-m", "vnentropy.cli", "entropy", "--help"],
+            env=_src_env(), capture_output=True, text=True,
+        )
+        assert run.returncode == 0 and "--method" in run.stdout
 
     def test_missing_input_is_config_error(self, capsys):
         code, _, _ = run_cli(["entropy", "--method", "probing", "--eps", "1e-2"], capsys)
@@ -284,7 +331,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_generator_rejects_seed_out_of_range(self, seed):
-        from vnentropy.generators import barabasi_albert_adjacency
+        from vnentropy.generators import barabasi_albert_adjacency, grid2d_adjacency
 
         with pytest.raises(ValueError, match="seed"):
             barabasi_albert_adjacency(100, 2, seed)
@@ -440,7 +487,7 @@ class TestProbingSweep:
         def forbidden(*args, **kwargs):
             raise AssertionError("Lanczos interval sweep called on a Laplacian")
 
-        # the sweep is reachable only through laplacian_interval's fallback
+        # no CLI path runs the sweep, laplacian_interval's fallback included
         assert not hasattr(cli, "spectral_interval")
         monkeypatch.setattr(vnentropy.sparse, "spectral_interval", forbidden)
         code, _, _ = run_cli(["probing-sweep", "--gen", "grid2d:8", "--dmax", "3"], capsys)
@@ -535,13 +582,13 @@ class TestImportCost:
         assert run.stdout.strip() == "False"
 
     @staticmethod
-    def _cli_run(tmp_path, *args):
-        """(exit code, whether scipy.special was loaded, report) of one CLI run
+    def _cli_run(tmp_path, *args, module="scipy.special"):
+        """(exit code, whether the module was loaded, report) of one CLI run
         in a fresh interpreter."""
         target = tmp_path / "report.json"
-        code = "import sys; from vnentropy.cli import main; print(main(sys.argv[1:]), 'scipy.special' in sys.modules)"
+        code = "import sys; from vnentropy.cli import main; print(main(sys.argv[2:]), sys.argv[1] in sys.modules)"
         run = subprocess.run(
-            [sys.executable, "-c", code, "entropy", *args, "--json", str(target)],
+            [sys.executable, "-c", code, module, "entropy", *args, "--json", str(target)],
             env=_src_env(), capture_output=True, text=True, check=True,
         )
         rc, loaded = run.stdout.split()
@@ -563,3 +610,11 @@ class TestImportCost:
             tmp_path, "--gen", "grid2d:12", "--method", "hutchpp", "--eps", "1e-2", "--seed", "3"
         )
         assert rc == 0 and loaded and np.isfinite(report["value"])
+
+    def test_only_file_input_loads_scipy_io(self, tmp_path):
+        rc, loaded, _ = self._cli_run(tmp_path, "--gen", "grid2d:20", "--method", "probing", module="scipy.io")
+        assert rc == 0 and not loaded
+        path = tmp_path / "grid.mtx"
+        path.write_text(write_matrix_market(grid2d_adjacency(20)))
+        rc, loaded, _ = self._cli_run(tmp_path, "--in", str(path), "--method", "probing", module="scipy.io")
+        assert rc == 0 and loaded

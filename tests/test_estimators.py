@@ -420,8 +420,8 @@ class TestNoLanczosSweepOnLaplacians:
         def forbidden(*args, **kwargs):
             raise AssertionError("Lanczos interval sweep called on a Laplacian")
 
-        # the estimators reach the sweep only through the fallback of
-        # laplacian_interval, which looks it up in vnentropy.sparse
+        # no estimator path runs the sweep, laplacian_interval's fallback
+        # included
         assert not hasattr(vnentropy.estimators, "spectral_interval")
         monkeypatch.setattr(vnentropy.sparse, "spectral_interval", forbidden)
         rho = laplacian_density(random_connected_graph(80, 100, rng))

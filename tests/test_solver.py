@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from vnentropy.generators import grid2d_adjacency
+from vnentropy.generators import barabasi_albert_adjacency, grid2d_adjacency
+from vnentropy.krylov import eds_poles
 from vnentropy import solver as solver_module
 from vnentropy.solver import FactorizationError, PoleSolver, cg_solve, factorize
-from vnentropy.sparse import build_laplacian, from_coo, matvec
+from vnentropy.sparse import build_laplacian, from_coo, laplacian_interval, matvec, normalize_trace
 
 from conftest import path_graph, random_connected_graph
 
@@ -145,7 +146,9 @@ class TestCgSolve:
 
     def test_zero_rhs(self):
         lap = build_laplacian(path_graph(8))
-        assert np.array_equal(cg_solve(lap, 1.0, np.zeros(8)), np.zeros(8))
+        y = np.zeros(8)
+        x = cg_solve(lap, 1.0, y)
+        assert np.array_equal(x, np.zeros(8)) and not np.shares_memory(x, y)
 
     def test_matches_direct_on_grid(self, rng):
         lap = build_laplacian(grid2d_adjacency(22))  # n = 484
@@ -154,6 +157,18 @@ class TestCgSolve:
         direct = factorize(lap, tau).solve(y)
         iterative = cg_solve(lap, tau, y, tol_rel=1e-12)
         assert np.linalg.norm(direct - iterative) <= 1e-8 * np.linalg.norm(direct)
+
+    @pytest.mark.parametrize("adjacency", [grid2d_adjacency(30), barabasi_albert_adjacency(300, 2, 0)],
+                             ids=["grid2d:30", "ba:300:2"])
+    def test_matches_direct_at_eds_shifts(self, rng, adjacency):
+        density = normalize_trace(build_laplacian(adjacency))
+        rho = density.matrix
+        y = rng.standard_normal(rho.n)
+        for xi in eds_poles(laplacian_interval(density), 8).poles:
+            x = cg_solve(rho, -xi, y)
+            assert np.linalg.norm(-xi * x + matvec(rho, x) - y) <= 2e-10 * np.linalg.norm(y)
+            direct = factorize(rho, -xi).solve(y)
+            assert np.linalg.norm(x - direct) <= 1e-6 * np.linalg.norm(direct)
 
     def test_max_iter_exceeded(self, rng):
         lap = build_laplacian(grid2d_adjacency(10))

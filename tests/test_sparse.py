@@ -16,9 +16,7 @@ from vnentropy.sparse import (
     matvec,
     normalize_trace,
     parse_matrix_market,
-    read_binary_cache,
     spectral_interval,
-    write_binary_cache,
     write_matrix_market,
 )
 
@@ -67,6 +65,24 @@ class TestParseMatrixMarket:
             "%%NotMatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 1.0\n",
             "%%MatrixMarket matrix array real symmetric\n1 1\n1.0\n",
             "%%MatrixMarket matrix coordinate complex symmetric\n1 1 1\n1 1 1 0\n",
+            pytest.param(
+                "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
+                id="skew-symmetric",
+            ),
+            pytest.param(
+                "%%MatrixMarket matrix coordinate complex hermitian\n2 2 1\n2 1 1.0 0.0\n",
+                id="hermitian",
+            ),
+            pytest.param("%%MatrixMarket vector coordinate real general\n3 1\n1 1.0\n", id="vector"),
+            pytest.param("%%MatrixMarket matrix coordinate real general\n3 2 1\n2 1 1.0\n", id="non-square"),
+            pytest.param(P3_MM.rsplit("\n", 2)[0] + "\n", id="truncated"),
+            pytest.param(P3_MM + "3 1\n", id="too-many-entries"),
+            pytest.param(P3_MM.replace("2 1\n", "0 1\n"), id="index-0"),
+            pytest.param(
+                "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 one\n",
+                id="non-numeric",
+            ),
+            pytest.param(P3_MM.replace("2 1\n", "2 1\n% a comment\n"), id="comment-in-entries"),
         ],
     )
     def test_malformed_header(self, text):
@@ -100,14 +116,6 @@ class TestParseMatrixMarket:
         mat = from_coo(n, rows, cols, dense[rows, cols])
         again = parse_matrix_market(write_matrix_market(mat))
         assert np.allclose(again.todense(), mat.todense(), rtol=0, atol=0)
-
-    def test_binary_cache_roundtrip(self, tmp_path, rng):
-        mat = random_connected_graph(23, 15, rng)
-        path = tmp_path / "m.entr"
-        write_binary_cache(mat, path)
-        again = read_binary_cache(path)
-        assert again.n == mat.n and np.array_equal(again.col_idx, mat.col_idx)
-        assert np.array_equal(again.values, mat.values)
 
 
 class TestBuildLaplacian:
@@ -459,6 +467,36 @@ CERTIFIED_CASES = {
 }
 
 
+def _dense_density(dense):
+    rows, cols = np.nonzero(dense)
+    return normalize_trace(from_coo(dense.shape[0], rows, cols, dense[rows, cols]))
+
+
+def _shifted_grid(sigma):
+    """grid2d:20 Laplacian + sigma I: negative off-diagonals, nonzero row sums."""
+    return _dense_density(build_laplacian(grid2d_adjacency(20)).todense() + sigma * np.eye(400))
+
+
+def _random_spd(n, seed):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.05)
+    return _dense_density(b @ b.T + 1e-2 * np.eye(n))
+
+
+def _disconnected_laplacian():
+    """Paths 0..29 and 30..49: a Laplacian whose BFS from node 0 stops short."""
+    i = np.r_[np.arange(29), np.arange(30, 49)]
+    return laplacian_density(from_coo(50, np.r_[i, i + 1], np.r_[i + 1, i], np.ones(2 * i.size)))
+
+
+FALLBACK_CASES = {
+    "grid-20+1e-3": lambda: _shifted_grid(1e-3),
+    "grid-20+1e-2": lambda: _shifted_grid(1e-2),
+    "random-spd": lambda: _random_spd(120, 5),
+    "disconnected-laplacian": _disconnected_laplacian,
+}
+
+
 class TestLaplacianInterval:
     @pytest.mark.parametrize("name", CERTIFIED_CASES)
     def test_certified_against_dense_spectrum(self, name):
@@ -500,20 +538,34 @@ class TestLaplacianInterval:
         density = normalize_trace(from_coo(n, rows, cols, vals))
         iv = laplacian_interval(density)
         dense = density.matrix.todense()
-        assert iv.provenance == "ritz-uncertified" and iv.diameter_bound is None
+        assert iv.provenance == "gershgorin" and iv.diameter_bound is None
         assert iv.b == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-15)
         assert np.linalg.eigvalsh(dense)[-1] <= iv.b
 
     def test_disconnected_laplacian_falls_back(self):
-        # paths 0..29 and 30..49: zero row sums and negative off-diagonals,
-        # but the BFS from node 0 misses the second component
-        i = np.r_[np.arange(29), np.arange(30, 49)]
-        density = laplacian_density(from_coo(50, np.r_[i, i + 1], np.r_[i + 1, i], np.ones(2 * i.size)))
+        # zero row sums and negative off-diagonals, but the BFS from node 0
+        # misses the second component
+        density = _disconnected_laplacian()
         iv = laplacian_interval(density)
         dense = density.matrix.todense()
-        assert iv.provenance == "ritz-uncertified" and iv.diameter_bound is None
+        assert iv.provenance == "gershgorin" and iv.diameter_bound is None
+        assert iv.a == 0.0
         assert iv.b == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-15)
         assert np.linalg.eigvalsh(dense)[-1] <= iv.b
+
+    @pytest.mark.parametrize("name", FALLBACK_CASES)
+    def test_fallback_encloses_dense_spectrum(self, name, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fallback must not run the Lanczos sweep")
+
+        monkeypatch.setattr(vnentropy.sparse, "spectral_interval", forbidden)
+        density = FALLBACK_CASES[name]()
+        iv = laplacian_interval(density)
+        w = np.linalg.eigvalsh(density.matrix.todense())
+        assert iv.provenance == "gershgorin"
+        # slack for the dense eigensolver's rounding only
+        assert 0 <= iv.a <= w[0] + 1e-13 * w[-1]
+        assert w[-1] <= iv.b * (1 + 1e-13)
 
 
 class TestDenseOracle:
