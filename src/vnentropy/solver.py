@@ -73,8 +73,10 @@ def cg_solve(
     if max_iter is None:
         max_iter = max(1000, 10 * n)
     x, info = cg(shifted, y, rtol=tol_rel, atol=0.0, maxiter=max_iter, M=jacobi)
-    if info:
+    if info > 0:
         raise RuntimeError(f"CG did not converge in {max_iter} iterations")
+    if info < 0:
+        raise RuntimeError(f"CG broke down (scipy info {info})")
     return x
 
 

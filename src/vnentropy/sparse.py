@@ -3,6 +3,7 @@ dense reference oracle used throughout the test suite."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from io import BytesIO
@@ -16,6 +17,13 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 class MatrixFormatError(ValueError):
     """Malformed Matrix Market input or invalid matrix data."""
+
+
+# Header, comment and blank lines, then the size line.
+_MM_PREAMBLE = re.compile(rb"[^\n]*\n(?:[ \t\r]*(?:%[^\n]*)?\n)*[^\n]*")
+# Digits to d, signs to s, the point to p, exponents to e; the letters d, s, p to x.
+_MM_CLASSES = bytes.maketrans(b"0123456789+-.eEdsp", b"ddddddddddsspeexxx")
+_MM_TOKEN = {"real": re.compile(rb"s?(?:d+p?d*|pd+)(?:es?d+)?"), "integer": re.compile(rb"s?d+")}
 
 
 @dataclass(frozen=True)
@@ -144,6 +152,13 @@ def parse_matrix_market(data) -> SparseSymMatrix:
             raise ValueError(f"unsupported kind: {fmt} {field} {symmetry}")
         if nrows != ncols:
             raise ValueError("matrix is not square")
+        if field != "pattern":  # mmread reads "2,5" as 2 and "0x1p3" as 0: match each token's shape
+            start = _MM_PREAMBLE.match(data).end()
+            body = data[start:].translate(_MM_CLASSES)
+            bad = [tok for tok in set(body.split()) if not _MM_TOKEN[field].fullmatch(tok)]
+            if bad:
+                at = start + re.search(rb"(?<!\S)(?:%s)(?!\S)" % b"|".join(map(re.escape, bad)), body).start()
+                raise ValueError("line %d: malformed entry token" % (data.count(b"\n", 0, at) + 1))
         coo = mmread(BytesIO(data))
     except (ValueError, OverflowError) as exc:
         raise MatrixFormatError(str(exc)) from exc

@@ -331,7 +331,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_generator_rejects_seed_out_of_range(self, seed):
-        from vnentropy.generators import barabasi_albert_adjacency, grid2d_adjacency
+        from vnentropy.generators import barabasi_albert_adjacency
 
         with pytest.raises(ValueError, match="seed"):
             barabasi_albert_adjacency(100, 2, seed)

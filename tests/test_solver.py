@@ -175,6 +175,12 @@ class TestCgSolve:
         with pytest.raises(RuntimeError):
             cg_solve(lap, 1e-9, rng.standard_normal(100), tol_rel=1e-14, max_iter=2)
 
+    def test_breakdown_reported(self, rng, monkeypatch):
+        monkeypatch.setattr(solver_module, "cg", lambda *args, **kw: (args[1], -1))
+        lap = build_laplacian(path_graph(10))
+        with pytest.raises(RuntimeError, match="broke down"):
+            cg_solve(lap, 1.0, rng.standard_normal(10))
+
 
 class TestPoleSolver:
     def test_auto_picks_direct_for_low_fill(self, rng):

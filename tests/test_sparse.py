@@ -83,11 +83,25 @@ class TestParseMatrixMarket:
                 id="non-numeric",
             ),
             pytest.param(P3_MM.replace("2 1\n", "2 1\n% a comment\n"), id="comment-in-entries"),
+            # mmread alone would read the numeric prefix of each of these values
+            *(
+                pytest.param(
+                    f"%%MatrixMarket matrix coordinate {field} symmetric\n2 2 1\n2 1 {tok}\n", id=f"{field}-{tok}"
+                )
+                for field in ("real", "integer")
+                for tok in ("2,5", "1.5abc", "3e", "0x1p3", "1.2.3") + (("1.5",) if field == "integer" else ())
+            ),
         ],
     )
     def test_malformed_header(self, text):
         with pytest.raises(MatrixFormatError):
             parse_matrix_market(text)
+
+    def test_number_forms(self):
+        toks = ["5", "-1.5", "5.", ".5e1", "1.e+2", "-2.5E-3", "1e5"]
+        body = "".join(f"{i} {i} {t}\n" for i, t in enumerate(toks, 1))
+        mat = parse_matrix_market(f"%%MatrixMarket matrix coordinate real general\n7 7 7\n{body}")
+        assert mat.diagonal().tolist() == [float(t) for t in toks]
 
     def test_out_of_range_index(self):
         text = "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n3 1\n"
