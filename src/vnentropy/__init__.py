@@ -38,7 +38,6 @@ from .generators import barabasi_albert_adjacency, grid2d_adjacency
 from .krylov import (
     ENTROPY,
     XLOGX,
-    PoleSequence,
     QuadformResult,
     RationalArnoldiDecomposition,
     adaptive_funvec,

@@ -20,6 +20,7 @@ from .estimators import (
 )
 from .generators import parse_generator_spec
 from .sparse import (
+    DENSE_ORACLE_CAP,
     DensityMatrix,
     MatrixFormatError,
     SparseSymMatrix,
@@ -175,8 +176,8 @@ def _write_out(text, path):
 
 
 def _check_flags(args):
-    """Range checks of the flags a subcommand has, made before any input is
-    loaded; the seed keys the generators, which take [0, 2^64)."""
+    """Range checks of the flags a subcommand has, made before it loads any
+    input or does any work; the seed keys the generators, which take [0, 2^64)."""
     stochastic = getattr(args, "method", "probing") != "probing"
     for name, ok, rule in (
         ("eps", lambda v: 0 < v < 1, "in (0, 1)"),
@@ -185,6 +186,13 @@ def _check_flags(args):
         ("dmax", lambda v: v >= args.dmin, "at least --dmin"),
         ("seed", lambda v: 0 <= v < 2**64, "in [0, 2^64)"),
         ("delta", lambda v: not stochastic or 0 < v < 1, "in (0, 1)"),
+        ("a", lambda v: 0 <= v < np.inf, "finite and at least 0"),
+        ("b", lambda v: args.a < v < np.inf, "finite and above --a"),
+        ("kmin", lambda v: v >= 0, "at least 0"),
+        ("kmax", lambda v: v >= args.kmin, "at least --kmin"),
+        ("sizes", lambda v: all(t.strip().isdecimal() and int(t) > 0 for t in v.split(",")),
+         "a comma-separated list of positive integers"),
+        ("timeout", lambda v: v > 0, "positive"),
     ):
         if getattr(args, name, None) is not None and not ok(getattr(args, name)):
             raise CliError(f"--{name} must be {rule}", EXIT_CONFIG)
@@ -299,8 +307,8 @@ def cmd_probing_sweep(args):
     from .estimators import KrylovEntropyProvider, probing_trace
 
     density, label, meta = load_density(args)
-    if density.n > 5000:
-        raise CliError("probing sweep needs the dense oracle (n <= 5000)", EXIT_CONFIG)
+    if density.n > DENSE_ORACLE_CAP:
+        raise CliError(f"probing sweep needs the dense oracle (n <= {DENSE_ORACLE_CAP})", EXIT_CONFIG)
     exact = dense_entropy_oracle(density.matrix)
     interval = laplacian_interval(density)
     provider = KrylovEntropyProvider(density, interval)

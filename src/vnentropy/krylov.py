@@ -56,24 +56,6 @@ XLOGX = functools.partial(_signed_xlogx, 1.0)
 ENTROPY = functools.partial(_signed_xlogx, -1.0)
 
 
-@dataclass(frozen=True)
-class PoleSequence:
-    """Ordered poles in (-inf, 0) or at infinity; nested by construction."""
-
-    poles: tuple
-
-    def __post_init__(self):
-        for xi in self.poles:
-            if xi == 0 or (np.isfinite(xi) and xi > 0):
-                raise ValueError("poles must be negative or infinite")
-
-    def __len__(self):
-        return len(self.poles)
-
-    def __getitem__(self, j):
-        return self.poles[j]
-
-
 def _amplitude(t, mu):
     """am(t K | 1 - mu^2) for t in [0, 1] by the arithmetic-geometric mean of
     (1, mu), Abramowitz & Stegun 17.6 and 16.4: K = pi / (2 a_N), so the
@@ -90,9 +72,9 @@ def _amplitude(t, mu):
     return phi
 
 
-def eds_poles(interval: SpectralInterval, m: int) -> PoleSequence:
-    """Nested negative poles equidistributed per the Zolotarev limit measure
-    of the condenser ([a, b], (-inf, 0]).
+def eds_poles(interval: SpectralInterval, m: int) -> tuple:
+    """A tuple of m nested negative poles equidistributed per the Zolotarev
+    limit measure of the condenser ([a, b], (-inf, 0]).
 
     The condenser is mapped by a Moebius transformation onto the symmetric
     configuration ([mu, 1], [-1, -mu]); there the equilibrium measure of the
@@ -118,7 +100,7 @@ def eds_poles(interval: SpectralInterval, m: int) -> PoleSequence:
     # poles far below the spectrum act like the excluded xi = 0 and would
     # amplify the deflated kernel through the shifted solves; floor them
     xi = -np.clip(-xi, a / 100.0, 1e300)
-    return PoleSequence(poles=tuple(xi.tolist()))
+    return tuple(xi.tolist())
 
 
 class ShiftedOperator:
@@ -171,7 +153,7 @@ class ArnoldiGroup:
         self.rows = np.empty((k, cap + 1, n))
         self.H = np.zeros((k, cap + 1, cap))
         self.K = np.zeros((k, cap + 1, cap))
-        self._spectrum = None
+        self._spectrum = None   # group_spectrum's cache, reset by every change of the stacks
         start = self.rows[:, 0]
         for i, b in enumerate(vectors):
             start[i] = b
@@ -183,7 +165,6 @@ class ArnoldiGroup:
             d.op, d.b_norm, d._group, d._slot = operator, float(b_norm[i]), self, i
             d.nbasis, d.poles, d.exhausted = 1, [], False
             d.poly_matvecs = d.rational_solves = 0
-            d._spectrum = None
         self._refs = [weakref.ref(d) for d in members]
         self.step([INF] * k)
 
@@ -201,17 +182,19 @@ class ArnoldiGroup:
         K[:, : cap + 1, :cap] = self.K[:k]
         self.rows, self.H, self.K = rows, H, K
 
-    def extend(self, poles, lo: int = 0) -> list:
-        """Extend members lo, lo + 1, ... by one pole each, without the pole
-        swap. Returns one bool per member, False where it broke down.
+    def extend(self, poles) -> list:
+        """Extend every member by its pole, one per member in slot order,
+        without the pole swap. Returns one bool per member, False where it
+        broke down.
 
         Each column gets one matvec, and one shifted solve for a finite pole.
         Classical Gram-Schmidt applied twice orthogonalizes all columns in
         one batched matmul per pass; per member it is the gemv pair of a
         column on its own, so every member gets the same bits.
         """
-        k = len(poles)
-        members = [ref() for ref in self._refs[lo : lo + k]]
+        members, k = self.members, len(poles)
+        if k != len(members):
+            raise ValueError(f"{k} poles for {len(members)} members")
         m = members[0].nbasis
         for d, xi in zip(members, poles):
             if d.exhausted:
@@ -223,8 +206,7 @@ class ArnoldiGroup:
         if m > self.H.shape[2]:
             self._grow()
         self._spectrum = None
-        s = slice(lo, lo + k)
-        rows, H, K = self.rows[s], self.H[s], self.K[s]
+        rows, H, K = self.rows[:k], self.H[:k], self.K[:k]
         basis, w = rows[:, :m], rows[:, m]
         finite = []
         for i, (d, xi) in enumerate(zip(members, poles)):
@@ -270,13 +252,13 @@ class ArnoldiGroup:
                 H[i, m, col] = K[i, m, col] = 0.0
         return ok
 
-    def step(self, poles, lo: int = 0) -> list:
+    def step(self, poles) -> list:
         """extend(), then swap each consumed finite pole ahead of the
         trailing infinity; the members' step() in one call."""
-        ok = self.extend(poles, lo)
-        for ref, xi, ok_i in zip(self._refs[lo : lo + len(poles)], poles, ok):
+        ok = self.extend(poles)
+        for d, xi, ok_i in zip(self.members, poles, ok):
             if ok_i and xi != INF:
-                ref().swap_last_pole_to_infinity()
+                d.swap_last_pole_to_infinity()
         return ok
 
     def remove(self, i: int):
@@ -362,14 +344,13 @@ class RationalArnoldiDecomposition:
 
     # -- extension ---------------------------------------------------------
 
-    def _extend(self, xi) -> bool:
-        return bool(self._group.extend([xi], self._slot)[0])
-
     def step(self, xi) -> bool:
         """Consume one pole (infinity or negative), then swap a finite one
         ahead of the trailing infinity. Returns False on breakdown, which
-        marks the decomposition exhausted (early convergence, not failure)."""
-        return bool(self._group.step([xi], self._slot)[0])
+        marks the decomposition exhausted (early convergence, not failure).
+        The group step: ValueError unless the decomposition is alone in its
+        group."""
+        return bool(self._group.step([xi])[0])
 
     # -- pole swapping -----------------------------------------------------
 
@@ -427,41 +408,28 @@ class RationalArnoldiDecomposition:
 
     # -- projections -------------------------------------------------------
 
-    def projected(self):
-        """(A_m, last_row, m): the projected matrix H_m K_m^{-1}, plus the
-        residual coupling row h_{m+1}^T used by the a posteriori bounds."""
-        m = self.eval_dim
-        if not self.exhausted and self.poles[-1] != INF:
-            raise RuntimeError("last pole must be infinity (swap first)")
-        hm = self.H[:m, :m]
-        km = self.K[:m, :m]
-        last = self.H[m, :m] if self.H.shape[0] > m else np.zeros(m)
-        a_m = np.linalg.solve(km.T, hm.T).T
-        return a_m, last, m
-
     def spectrum(self):
         """Eigen-data of the symmetrized projection: (theta, alpha, beta, m).
 
         alpha = h_{m+1}^T K_m^{-1} U, beta = U^T e_1 in the notation of the
         error kernel g_m: this member's rows of group_spectrum (read-only).
         """
-        stacked = group_spectrum(self._group)
-        if self._spectrum is None or self._spectrum[0] is not stacked:
-            theta, alpha, beta, m = stacked
-            i = self._slot
-            self._spectrum = (stacked, (theta[i], alpha[i], beta[i], m))
-        return self._spectrum[1]
+        theta, alpha, beta, m, _ = group_spectrum(self._group)
+        i = self._slot
+        return theta[i], alpha[i], beta[i], m
 
 
 def group_spectrum(group: ArnoldiGroup):
-    """(theta, alpha, beta, m) of all members of a group sharing eval_dim m,
-    each a read-only (k, m) array, computed once per iteration.
+    """(theta, alpha, beta, m, U) of all members of a group sharing eval_dim
+    m: theta, alpha and beta (k, m) and the eigenvectors U (k, m, m), all
+    read-only, computed once per iteration.
 
-    One stacked eigh covers the (k, m, m) symmetrized projections, read
-    straight from the H stack, and one stacked solve with K_m^T the members
-    that consumed a finite pole. Before the first finite pole K_m = I_m
-    exactly, so A_m = H_m and alpha = h_{m+1}^T U need no solve. Stacked
-    LAPACK calls give every member the bits of a call on it alone.
+    One stacked eigh covers the (k, m, m) symmetrized projections
+    A_m = H_m K_m^{-1}, read straight from the H stack, and one stacked
+    solve with K_m^T the members that consumed a finite pole. Before the
+    first finite pole K_m = I_m exactly, so A_m = H_m and alpha =
+    h_{m+1}^T U need no solve. Stacked LAPACK calls give every member the
+    bits of a call on it alone.
     """
     if group._spectrum is not None:
         return group._spectrum
@@ -482,48 +450,46 @@ def group_spectrum(group: ArnoldiGroup):
         last[rational] = np.linalg.solve(k_t, last[rational][:, :, None])[:, :, 0]
     theta, u = np.linalg.eigh(0.5 * (a_m + a_m.transpose(0, 2, 1)))
     alpha = np.matmul(last[:, None, :], u)[:, 0, :]
-    beta = u[:, 0, :]
-    for arr in (theta, alpha, beta):
+    for arr in (theta, alpha, u):
         arr.flags.writeable = False
-    group._spectrum = (theta, alpha, beta, m)
+    group._spectrum = (theta, alpha, u[:, 0, :], m, u)
     return group._spectrum
 
 
-def quadform_value(decomps, fun):
-    """psi_m = ||b||^2 e_1^T f(A_m) e_1 via the symmetrized eigendecomposition.
-
-    Ritz values in [-1e-12 b_scale, 0) are clamped to zero (f(0) = 0 for the
-    entropy integrand); values below that are an error for f undefined there,
-    reported for the first decomposition that has one. Takes one
-    decomposition and returns a float, or a list of decompositions sharing m
-    and returns an array, evaluated row-wise on their stacked spectra.
-    """
-    theta, _, beta, members, single = _stacked_spectra(decomps)
-    theta = _clamp_ritz(theta)
+def _ritz_f(theta, fun):
+    """f at the Ritz values theta (k, m). Values in [-1e-12 max |theta|, 0)
+    are clamped to zero first (f(0) = 0 for the entropy integrand); values
+    below that are an error for f undefined there, reported for the first
+    row that has one."""
+    tol = 1e-12 * np.maximum(np.abs(theta).max(axis=1, keepdims=True, initial=0.0), 1e-300)
+    theta = np.where((theta < 0) & (theta >= -tol), 0.0, theta)
     fv = np.asarray(fun(theta), dtype=np.float64)
     bad = ~np.isfinite(fv)
     if bad.any():
         i = bad.any(axis=1).argmax()
         raise ValueError(f"f undefined at Ritz value(s) {theta[i][bad[i]]}")
-    values = np.array([d.b_norm**2 for d in members]) * (fv * beta**2).sum(axis=1)
+    return fv
+
+
+def quadform_value(decomps, fun):
+    """psi_m = ||b||^2 e_1^T f(A_m) e_1 via the symmetrized eigendecomposition.
+
+    Takes one decomposition and returns a float, or a list of decompositions
+    sharing m and returns an array, evaluated row-wise on their stacked
+    spectra.
+    """
+    theta, _, beta, members, single = _stacked_spectra(decomps)
+    values = np.array([d.b_norm**2 for d in members]) * (_ritz_f(theta, fun) * beta**2).sum(axis=1)
     return float(values[0]) if single else values
 
 
 def funvec_value(decomp: RationalArnoldiDecomposition, fun) -> np.ndarray:
-    """f(A) b ~ ||b|| V_m f(A_m) e_1."""
-    a_m, _, m = decomp.projected()
-    theta, u = np.linalg.eigh(0.5 * (a_m + a_m.T))
-    theta = _clamp_ritz(theta)
-    fv = np.asarray(fun(theta), dtype=np.float64)
-    if not np.all(np.isfinite(fv)):
-        raise ValueError(f"f undefined at Ritz value(s) {theta[~np.isfinite(fv)]}")
-    coeffs = u @ (fv * u[0, :])
+    """f(A) b ~ ||b|| V_m f(A_m) e_1 = ||b|| V_m U (f(theta) * beta), from
+    the member's rows of group_spectrum."""
+    theta, _, beta, m, u = group_spectrum(decomp._group)
+    i = decomp._slot
+    coeffs = u[i] @ (_ritz_f(theta[i : i + 1], fun)[0] * beta[i])
     return decomp.b_norm * (coeffs @ decomp._rows[:m])
-
-
-def _clamp_ritz(theta):
-    tol = 1e-12 * np.maximum(np.abs(theta).max(axis=-1, keepdims=True, initial=0.0), 1e-300)
-    return np.where((theta < 0) & (theta >= -tol), 0.0, theta)
 
 
 # The error kernels are sums over the Ritz values th_j of divided differences
@@ -889,7 +855,6 @@ class _Run:
         self.tol = tol
         self.history: list = []
         self.switched_at = -1
-        self.rational_index = 0
         self.trace: list = []
         self.result = None
 
@@ -919,7 +884,7 @@ def _run_adaptive(
     fun,
     interval: SpectralInterval,
     tol_abs,
-    pole_source: PoleSequence | None,
+    pole_source: tuple | None,
     stop: str,
     m_max: int,
     want_vector: bool,
@@ -979,8 +944,7 @@ def _run_adaptive(
                 if r.switched_at < 0 or pole_source is None:
                     poles.append(INF)
                 else:
-                    poles.append(pole_source[r.rational_index % len(pole_source)])
-                    r.rational_index += 1
+                    poles.append(pole_source[d.rational_solves % len(pole_source)])
             if done:   # the values of the members that stop, in one stacked call
                 values = quadform_value([live[i].decomp for i in done], fun).tolist()
                 for i, value, end in zip(done, values, ends):
@@ -1012,7 +976,7 @@ def adaptive_quadform(
     fun,
     interval: SpectralInterval,
     tol_abs,
-    pole_source: PoleSequence | None = None,
+    pole_source: tuple | None = None,
     stop: str = "estimate",
     m_max: int = DEFAULT_M_MAX,
     keep_trace: bool = False,
@@ -1037,7 +1001,7 @@ def adaptive_funvec(
     fun,
     interval: SpectralInterval,
     tol_abs,
-    pole_source: PoleSequence | None = None,
+    pole_source: tuple | None = None,
     stop: str = "estimate",
     m_max: int = DEFAULT_M_MAX,
 ):

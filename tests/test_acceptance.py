@@ -222,8 +222,8 @@ def test_criterion_6_aposteriori_sandwich():
     eds = eds_poles(interval, 30)
     schedules = {
         "polynomial": [INF] * 30,
-        "eds": list(eds.poles[:25]),
-        "mixed 10+10": [INF] * 10 + list(eds.poles[:15]),
+        "eds": list(eds[:25]),
+        "mixed 10+10": [INF] * 10 + list(eds[:15]),
     }
     checked = 0
     for label, poles in schedules.items():

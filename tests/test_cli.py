@@ -313,12 +313,26 @@ class TestExitCodes:
             ["probing-sweep", "--gen", "grid2d:8", "--dmin", "0"],
             ["probing-sweep", "--gen", "grid2d:8", "--dmin", "5", "--dmax", "2"],
             ["color-stats", "--in", "graph.mtx", "--gen", "grid2d:8", "--d", "2"],
+            ["bounds", "--a", "2", "--b", "1"],
+            ["bounds", "--a", "-1"],
+            ["bounds", "--a", "nan"],
+            ["bounds", "--b", "0"],
+            ["bounds", "--b", "inf"],
+            ["bounds", "--kmin", "5", "--kmax", "3"],
+            ["bounds", "--kmin", "-1", "--with-oracle"],
+            ["bench-scaling", "--gen", "grid2d", "--sizes", "abc"],
+            ["bench-scaling", "--gen", "grid2d", "--sizes", "16,,64"],
+            ["bench-scaling", "--gen", "grid2d", "--sizes", "-5"],
+            ["bench-scaling", "--gen", "grid2d", "--sizes", "64", "--timeout", "-1"],
         ],
         ids=[
             "entropy-seed=-1", "entropy-seed=2^64", "entropy-grid-hutchinson-seed=-1",
             "color-stats-seed=-1", "probing-sweep-seed=2^64", "bench-scaling-seed=-1",
             "bench-scaling-d=0", "bench-scaling-delta=1.5", "color-stats-d=0",
             "probing-sweep-dmin=0", "probing-sweep-dmax<dmin", "color-stats-in-and-gen",
+            "bounds-a>b", "bounds-a=-1", "bounds-a=nan", "bounds-b=0", "bounds-b=inf",
+            "bounds-kmax<kmin", "bounds-kmin=-1", "bench-scaling-sizes=abc",
+            "bench-scaling-sizes-empty-token", "bench-scaling-sizes=-5", "bench-scaling-timeout=-1",
         ],
     )
     def test_out_of_range_in_every_subcommand(self, capsys, monkeypatch, command):

@@ -208,6 +208,16 @@ class TestPinnedResults:
         (5.387839745161474, 13, 5, 18, 13),
         (6.792495602168951, 15, 5, 20, 15),
     ]
+    # recorded while f(A) b still ran its own eigensolve of H_m K_m^{-1}
+    # instead of reading the group's: (||f(A) b||, poly_iters, rational_iters, dim)
+    GRID_FUNVEC = [
+        (0.32064825325039914, 14, 11, 25),
+        (0.31085421082407855, 15, 12, 27),
+        (0.3039866965774614, 20, 9, 29),
+        (0.3092444035174822, 18, 9, 27),
+        (0.3165117517639788, 14, 12, 26),
+        (0.2987559391469374, 15, 12, 27),
+    ]
 
     @staticmethod
     def _check(results, pinned):
@@ -254,6 +264,19 @@ class TestPinnedResults:
             rho, block, iv, 1e-10, pole_source=eds_poles(iv, 40), stop="bound"
         )
         self._check(results, self.GRID)
+
+    def test_grid_funvec_rational_phase(self):
+        rho = laplacian_density(grid2d_adjacency(20))
+        iv = laplacian_interval(rho)
+        block = np.random.default_rng(21).standard_normal((rho.n, 6))
+        block -= block.mean(axis=0)
+        results = adaptive_funvec(
+            krylov.ShiftedOperator(rho.matrix), block, ENTROPY, iv, 1e-11,
+            pole_source=eds_poles(iv, 40), stop="bound",
+        )
+        for res, (norm, poly, rat, dim) in zip(results, self.GRID_FUNVEC, strict=True):
+            assert (res.poly_iters, res.rational_iters, res.dim) == (poly, rat, dim)
+            assert abs(np.linalg.norm(res.vector) - norm) <= 1e-14 * norm
 
 
 class _FixedSpectrum:
@@ -455,6 +478,16 @@ class TestStackedFinish:
             decomps[0]._group.step([krylov.INF] * 6)
         values = krylov.quadform_value(decomps, ENTROPY)
         assert values.tolist() == [krylov.quadform_value(d, ENTROPY) for d in decomps]
+
+    def test_group_step_takes_one_pole_per_member(self, rng):
+        decomps = krylov.RationalArnoldiDecomposition.lockstep(
+            DenseOperator(np.diag(np.linspace(1.0, 2.0, 20))), list(rng.standard_normal((3, 20)))
+        )
+        with pytest.raises(ValueError, match="1 poles for 3 members"):
+            decomps[1].step(krylov.INF)
+        with pytest.raises(ValueError, match="4 poles for 3 members"):
+            decomps[0]._group.extend([krylov.INF] * 4)
+        assert [d.nbasis for d in decomps] == [2, 2, 2]
 
     def test_undefined_ritz_value_raises_as_alone(self, rng):
         # an indefinite operator: every member reaches m_max with negative Ritz values

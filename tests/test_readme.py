@@ -1,0 +1,14 @@
+"""The README's library sketch runs as written, so a renamed or deleted
+public name cannot leave it stale."""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_sketch_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2

@@ -164,7 +164,7 @@ class TestCgSolve:
         density = normalize_trace(build_laplacian(adjacency))
         rho = density.matrix
         y = rng.standard_normal(rho.n)
-        for xi in eds_poles(laplacian_interval(density), 8).poles:
+        for xi in eds_poles(laplacian_interval(density), 8):
             x = cg_solve(rho, -xi, y)
             assert np.linalg.norm(-xi * x + matvec(rho, x) - y) <= 2e-10 * np.linalg.norm(y)
             direct = factorize(rho, -xi).solve(y)
